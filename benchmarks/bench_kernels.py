@@ -13,8 +13,7 @@ import random
 import time
 from itertools import combinations, permutations
 
-from permavoid import kernels
-from permavoid.kernels import pure
+from permavoid import _kernels_py as pure, kernels
 
 
 def time_call(fn, repeat):

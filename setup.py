@@ -1,25 +1,20 @@
 """Build script: compiles the optional C speedups extension.
 
 The package is fully functional without the extension (a pure-Python
-twin of every kernel ships in permavoid._kernels_py); set
-PERMAVOID_PURE=1 to skip compilation, or let it fall back automatically
-when Cython is unavailable.
+twin of every kernel ships in permavoid._kernels_py); the build falls
+back to it when Cython is unavailable.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("PERMAVOID_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [Extension("permavoid._speedups", ["src/permavoid/_speedups.pyx"])],
-            language_level="3",
-        )
+try:
+    from Cython.Build import cythonize
+except ImportError:
+    ext_modules = []
+else:
+    ext_modules = cythonize(
+        [Extension("permavoid._speedups", ["src/permavoid/_speedups.pyx"])],
+        language_level="3",
+    )
 
 setup(ext_modules=ext_modules)

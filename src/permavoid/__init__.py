@@ -6,8 +6,7 @@ grid-hypergraph formulation — all exact, seeded, and desk-scale.
 
 The counting kernels exist twice: a compiled extension and a pure
 Python twin with identical semantics.  ``permavoid.kernels.BACKEND``
-says which one is live; set ``PERMAVOID_PURE=1`` to force the pure
-backend.
+says which one is live; the compiled one is used whenever it was built.
 """
 
 from .avoidance import (

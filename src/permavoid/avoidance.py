@@ -22,8 +22,7 @@ from itertools import combinations, compress
 
 from . import kernels, rngutil
 from .config import LIMITS, check_ceiling, check_enum_cap
-from .errors import DimensionMismatchError
-from .hypergraphs import KUniformHypergraph
+from .hypergraphs import KUniformHypergraph, check_dims
 from .perms import (
     PermLike,
     Permutation,
@@ -32,22 +31,11 @@ from .perms import (
 )
 
 
-def _check_dims(sigma: Permutation, pi: Permutation, lam: KUniformHypergraph) -> None:
-    if lam.n != len(sigma):
-        raise DimensionMismatchError(
-            f"hypergraph has n={lam.n} but sigma has length {len(sigma)}"
-        )
-    if lam.k != len(pi):
-        raise DimensionMismatchError(
-            f"hypergraph uniformity k={lam.k} but pattern has length {len(pi)}"
-        )
-
-
 def lambda_contains(sigma: PermLike, pi: PermLike, lam: KUniformHypergraph) -> bool:
     """True iff some occurrence of pi in sigma has an edge as its index set."""
     s = as_permutation(sigma)
     p = as_permutation(pi)
-    _check_dims(s, p, lam)
+    check_dims(lam.n, lam.k, len(s), len(p))
     if not lam.edges:
         return False
     if lam.is_complete():
@@ -61,7 +49,7 @@ def count_lambda_occurrences(
     """Number of occurrences of pi in sigma whose index set is an edge."""
     s = as_permutation(sigma)
     p = as_permutation(pi)
-    _check_dims(s, p, lam)
+    check_dims(lam.n, lam.k, len(s), len(p))
     if not lam.edges:
         return 0
     return kernels.count_edge_hits(s.zero_based, p.zero_based, lam.zero_based_edges())
@@ -82,25 +70,27 @@ class AvoiderReport:
 def enumerate_avoiders(
     n: int,
     pi: PermLike,
-    lam: KUniformHypergraph,
+    lam: KUniformHypergraph | None,
     collect: bool = False,
     cap: int | None = None,
 ) -> AvoiderReport:
     """Count (and with ``collect``, list) the sigma in S_n with no
     occurrence of pi on an edge of ``lam``.  One pass over S_n in
     lexicographic order, gated by the enumeration cap.
+
+    ``lam=None`` stands for the complete hypergraph, which is never
+    built: its C(n,k) edges are only counted.
     """
     check_enum_cap(n, cap)
     p = as_permutation(pi)
-    if lam.n != n:
-        raise DimensionMismatchError(f"hypergraph has n={lam.n}, expected {n}")
-    if lam.k != len(p):
-        raise DimensionMismatchError(
-            f"hypergraph uniformity k={lam.k} but pattern has length {len(p)}"
-        )
+    if lam is None:
+        edge_count = math.comb(n, len(p))  # ValueError for n < 0
+    else:
+        check_dims(lam.n, lam.k, n, len(p))
+        edge_count = lam.edge_count
     # The complete hypergraph makes the edge condition vacuous, and the
     # plain containment test short-circuits much earlier.
-    edges = None if lam.is_complete() else lam.zero_based_edges()
+    edges = None if lam is None or lam.is_complete() else lam.zero_based_edges()
     count, raw = kernels.count_avoiders(n, p.zero_based, edges, collect)
     avoiders = None
     if collect:
@@ -109,7 +99,7 @@ def enumerate_avoiders(
         n=n,
         k=len(p),
         pattern=p,
-        lambda_edge_count=lam.edge_count,
+        lambda_edge_count=edge_count,
         count=count,
         avoiders=avoiders,
     )
@@ -149,14 +139,9 @@ def exact_expected_avoiders(
     >>> exact_expected_avoiders(2, 2, (1, 2), "1/2").exact_value
     Fraction(3, 2)
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = rngutil.exact_probability(alpha)
     p = as_permutation(pi)
-    if len(p) != k:
-        raise DimensionMismatchError(
-            f"pattern has length {len(p)}, expected k={k}"
-        )
+    check_dims(n, k, n, len(p))
     dist = copy_count_distribution(n, p, cap)
     beta = 1 - alpha
     exact = Fraction(0)
@@ -208,14 +193,6 @@ class MCEstimate:
     std_error: float
 
 
-def _mean_and_se(total: Fraction, total_sq: Fraction, m: int) -> tuple[Fraction, float]:
-    mean = total / m
-    if m == 1:
-        return mean, 0.0
-    var = (total_sq - total * total / m) / (m - 1)
-    return mean, math.sqrt(max(0.0, float(var)) / m)
-
-
 def mc_expected_avoiders_by_sigma(
     n: int,
     pi: PermLike,
@@ -226,9 +203,7 @@ def mc_expected_avoiders_by_sigma(
     """Estimate E by sampling sigma uniformly: the estimator is
     n! times the sample mean of (1-alpha)^(#copies of pi in sigma).
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = rngutil.exact_probability(alpha)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     p = as_permutation(pi)
@@ -247,7 +222,7 @@ def mc_expected_avoiders_by_sigma(
             pow_cache[c] = term
         total += term
         total_sq += term * term
-    mean, se = _mean_and_se(total, total_sq, samples)
+    mean, se = rngutil.mean_and_se(total, total_sq, samples)
     return MCEstimate(
         method="sigma",
         n=n,
@@ -276,17 +251,12 @@ def mc_expected_avoiders_by_lambda(
     Every sample costs a full S_n enumeration, so the projected work
     samples * n! * C(n,k) * k is refused above the cost ceiling.
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = rngutil.exact_probability(alpha)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_enum_cap(n, cap)
     p = as_permutation(pi)
-    if len(p) != k:
-        raise DimensionMismatchError(
-            f"pattern has length {len(p)}, expected k={k}"
-        )
+    check_dims(n, k, n, len(p))
     cost = samples * math.factorial(n) * max(1, math.comb(n, k)) * max(1, k)
     check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
     rng = rngutil.generator(seed)
@@ -300,7 +270,7 @@ def mc_expected_avoiders_by_lambda(
         count, _ = kernels.count_avoiders(n, pi0, edges, False)
         total += count
         total_sq += count * count
-    mean, se = _mean_and_se(total, total_sq, samples)
+    mean, se = rngutil.mean_and_se(total, total_sq, samples)
     return MCEstimate(
         method="lambda",
         n=n,

@@ -111,12 +111,13 @@ def _load_hypergraph(path: str) -> KUniformHypergraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _lambda_for(args, n: int, k: int) -> KUniformHypergraph:
+def _lambda_for(args) -> "KUniformHypergraph | None":
     """The index hypergraph a subcommand should use: an explicit file,
-    or the complete one (also the default when no file is given)."""
-    if getattr(args, "lambda_file", None):
+    or None for the complete one, which the library counts without
+    building it."""
+    if args.lambda_file:
         return _load_hypergraph(args.lambda_file)
-    return KUniformHypergraph.complete(n, k)
+    return None
 
 
 # ------------------------------------------------------------- rendering
@@ -200,7 +201,7 @@ def _cmd_distribution(args):
 
 
 def _cmd_avoiders(args):
-    lam = _lambda_for(args, args.n, len(args.pi))
+    lam = _lambda_for(args)
     rep = avoidance.enumerate_avoiders(
         args.n, args.pi, lam, collect=args.list, cap=args.enum_cap
     )
@@ -398,26 +399,28 @@ def _cmd_snm(args):
 
 
 def _build_h(args):
-    lam = _lambda_for(args, args.n, len(args.pi))
-    return gridhg.build_h(args.n, args.pi, lam, ceiling=args.edge_ceiling), lam
+    """The grid hypergraph and the edge count of its index hypergraph."""
+    lam = _lambda_for(args)
+    h = gridhg.build_h(args.n, args.pi, lam, ceiling=args.edge_ceiling)
+    return h, math.comb(h.n, h.k) if lam is None else lam.edge_count
 
 
 def _cmd_build_h(args):
-    h, lam = _build_h(args)
+    h, lambda_edges = _build_h(args)
     return h.to_json_dict() | {
         "pi": args.pi.to_text(),
-        "lambda_edges": lam.edge_count,
+        "lambda_edges": lambda_edges,
         "vertex_count": h.vertex_count,
         "edge_count": len(h.edges),
     }
 
 
 def _cmd_delta(args):
-    h, lam = _build_h(args)
+    h, lambda_edges = _build_h(args)
     return {
         "grid_side": h.n,
         "k": h.k,
-        "lambda_edges": lam.edge_count,
+        "lambda_edges": lambda_edges,
         "edge_count": len(h.edges),
         "ell": args.ell,
         "delta": gridhg.delta_ell(h, args.ell),
@@ -425,12 +428,12 @@ def _cmd_delta(args):
 
 
 def _cmd_independents(args):
-    h, lam = _build_h(args)
+    h, lambda_edges = _build_h(args)
     count = gridhg.count_independent_of_size(h, args.size, ceiling=args.subset_ceiling)
     return {
         "grid_side": h.n,
         "k": h.k,
-        "lambda_edges": lam.edge_count,
+        "lambda_edges": lambda_edges,
         "edge_count": len(h.edges),
         "size": args.size,
         "count": count,
@@ -477,11 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--manifest", metavar="PATH",
         help="also write a run manifest (argv, seed, version, output digest)",
-    )
-    common.add_argument(
-        "--threads", type=_positive_int, default=1, metavar="N",
-        help="worker cap for internal evaluation; this build always "
-        "evaluates with a single worker, so any value yields identical output",
     )
     common.add_argument("--enum-cap", type=int, metavar="N",
                         help="override the S_n enumeration cap for this run")

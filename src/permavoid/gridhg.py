@@ -22,8 +22,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .config import LIMITS, check_ceiling
-from .errors import DimensionMismatchError
-from .hypergraphs import KUniformHypergraph
+from .hypergraphs import KUniformHypergraph, check_dims
 from .perms import PermLike, Permutation, as_permutation
 
 
@@ -46,14 +45,6 @@ class PatternHypergraph:
     def vertex_count(self) -> int:
         return self.n * self.n
 
-    @property
-    def edge_set(self) -> frozenset:
-        cached = self.__dict__.get("_edge_set")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set"] = cached
-        return cached
-
     def to_json_dict(self) -> dict:
         return {
             "grid_side": self.n,
@@ -65,14 +56,15 @@ class PatternHypergraph:
 def build_h(
     n: int,
     pi: PermLike,
-    lam: KUniformHypergraph,
+    lam: KUniformHypergraph | None,
     ceiling: int | None = None,
 ) -> PatternHypergraph:
     """Construct H for the pattern and index hypergraph.
 
     The edge count is |E(lam)| * C(n,k) exactly (one edge per index
     edge and column k-set), which is checked against the edge ceiling
-    before any work happens.
+    before any work happens.  ``lam=None`` stands for the complete
+    hypergraph, whose C(n,k) index edges are generated on the fly.
 
     >>> from permavoid.hypergraphs import KUniformHypergraph
     >>> h = build_h(2, (1, 2), KUniformHypergraph.complete(2, 2))
@@ -81,16 +73,16 @@ def build_h(
     """
     p = as_permutation(pi)
     k = len(p)
-    if lam.n != n:
-        raise DimensionMismatchError(f"index hypergraph has n={lam.n}, expected {n}")
-    if lam.k != k:
-        raise DimensionMismatchError(
-            f"index hypergraph uniformity k={lam.k} but pattern has length {k}"
-        )
-    projected = lam.edge_count * math.comb(n, k)
+    if lam is None:
+        index_edges = combinations(range(1, n + 1), k)
+        projected = math.comb(n, k) ** 2  # ValueError for n < 0
+    else:
+        check_dims(lam.n, lam.k, n, k)
+        index_edges = lam.edges
+        projected = lam.edge_count * math.comb(n, k)
     check_ceiling("edge_ceiling", projected, ceiling, LIMITS.edge_ceiling)
     edges = set()
-    for xs in lam.edges:
+    for xs in index_edges:
         for ys in combinations(range(1, n + 1), k):
             cells = tuple(
                 sorted(flat_index(n, x, ys[p.values[i] - 1]) for i, x in enumerate(xs))

@@ -8,6 +8,7 @@ so equality, hashing, and serialization are canonical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -17,7 +18,36 @@ import numpy as np
 
 from . import rngutil
 from .config import check_enum_cap
-from .errors import CliqueCoverError
+from .errors import CliqueCoverError, DimensionMismatchError
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; bools, floats and strings are refused rather
+    than truncated or parsed."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _vertices(items) -> tuple[int, ...]:
+    """An edge or clique as a tuple of integer vertices."""
+    try:
+        return tuple(_as_int(v, "vertex") for v in items)
+    except TypeError:
+        raise ValueError(f"{items!r} is not a list of vertices") from None
+
+
+def check_dims(n: int, k: int, expected_n: int, pattern_length: int) -> None:
+    """Refuse a k-uniform hypergraph on n vertices unless n is the
+    permutation length ``expected_n`` and k the pattern length."""
+    if n != expected_n:
+        raise DimensionMismatchError(f"hypergraph has n={n}, expected {expected_n}")
+    if k != pattern_length:
+        raise DimensionMismatchError(
+            f"hypergraph uniformity k={k} but pattern has length {pattern_length}"
+        )
 
 
 @dataclass(frozen=True)
@@ -29,11 +59,13 @@ class KUniformHypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
+        object.__setattr__(self, "k", _as_int(self.k, "k"))
         if self.n < 0 or self.k < 1:
             raise ValueError("need n >= 0 and k >= 1")
         canon = []
         for e in self.edges:
-            edge = tuple(int(v) for v in e)
+            edge = _vertices(e)
             if len(edge) != self.k:
                 raise ValueError(f"edge {edge!r} is not a {self.k}-set")
             if any(not 1 <= v <= self.n for v in edge):
@@ -82,11 +114,10 @@ class KUniformHypergraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KUniformHypergraph":
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            edges=tuple(tuple(e) for e in data["edges"]),
-        )
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise ValueError(f"edges must be a list of vertex lists, got {edges!r}")
+        return cls(n=data["n"], k=data["k"], edges=tuple(edges))
 
     def to_text(self) -> str:
         """Text format: a "n k" header, then one sorted edge per line."""
@@ -129,9 +160,7 @@ def random_uniform_hypergraph(
     integer comparisons, identical on every platform for a fixed
     seed); ``rng`` is a seed or a generator.
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    alpha = rngutil.exact_probability(alpha)
     if k > n:
         raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
     if isinstance(rng, int):
@@ -187,7 +216,7 @@ def validate_clique_cover(
     """
     if not cliques:
         raise CliqueCoverError("empty clique collection")
-    canon = [tuple(sorted(int(v) for v in c)) for c in cliques]
+    canon = [tuple(sorted(_vertices(c))) for c in cliques]
     size = len(canon[0])
     for c in canon:
         if len(c) != size:

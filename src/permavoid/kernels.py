@@ -2,51 +2,67 @@
 
 At import time this module binds the hot kernels from the compiled
 extension (``permavoid._speedups``) when it is available, and from the
-pure-Python twin (``permavoid._kernels_py``) otherwise.  Setting the
-environment variable ``PERMAVOID_PURE=1`` forces the pure backend even
-when the extension is built — useful for debugging and benchmarking.
+pure-Python twin (``permavoid._kernels_py``) otherwise.  ``BACKEND`` is
+``"compiled"`` or ``"python"``.  Callers always go through the names
+bound here.
 
-``BACKEND`` is ``"compiled"`` or ``"python"``.
+The compiled backend packs a matrix row into one 64-bit word and counts
+in signed 64-bit integers.  Its limits are enforced here, and only here:
+a count that could reach 2^62 (C(n,k) bounds occurrences, C(rows,k) *
+C(cols,k) bounds matrix copies) or a matrix wider than 64 columns goes
+to the pure twin, which counts in Python ints.  Without the extension
+the pure functions are bound directly, with no guard in between.
 
-Contract honoured by callers (enforced in the wrapper modules, not
-here):
-
-  * matrix kernels on the compiled backend need ncols <= 64 and a copy
-    total guaranteed to fit in a signed 64-bit integer; wider or riskier
-    inputs go straight to the pure twin, which counts in Python ints;
-  * edge kernels assume a pattern of length >= 1.
-
-``enumerate_occurrences`` builds Python tuples either way, so it is
-only implemented once, in the pure module.
+The edge kernels assume a pattern of length >= 1.  ``enumerate_occurrences``
+builds Python tuples either way, so it is only implemented once, in the
+pure module.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 from . import _kernels_py
 
-enumerate_occurrences = _kernels_py.enumerate_occurrences
-
-if os.environ.get("PERMAVOID_PURE") == "1":
+try:
+    from . import _speedups as _impl
+except ImportError:
     _impl = _kernels_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
 
 BACKEND: str = _impl.BACKEND
 
+enumerate_occurrences = _kernels_py.enumerate_occurrences
 contains = _impl.contains
-count_occurrences = _impl.count_occurrences
 copy_count_histogram = _impl.copy_count_histogram
 hits_edge = _impl.hits_edge
 count_edge_hits = _impl.count_edge_hits
 count_avoiders = _impl.count_avoiders
-count_matrix_copies = _impl.count_matrix_copies
-matrix_contains_perm = _impl.matrix_contains_perm
 
-# The pure twin stays importable under stable names so tests and the
-# benchmark can compare the two backends directly.
-pure = _kernels_py
+if _impl is _kernels_py:
+    count_occurrences = _kernels_py.count_occurrences
+    count_matrix_copies = _kernels_py.count_matrix_copies
+    matrix_contains_perm = _kernels_py.matrix_contains_perm
+else:
+    _INT64_SAFE = 2**62
+    _WORD_BITS = 64
+
+    def _count_occurrences(sigma, pi):
+        if math.comb(len(sigma), len(pi)) >= _INT64_SAFE:
+            return _kernels_py.count_occurrences(sigma, pi)
+        return _impl.count_occurrences(sigma, pi)
+
+    def _count_matrix_copies(row_bits, ncols, pi):
+        k = len(pi)
+        if ncols > _WORD_BITS or \
+                math.comb(len(row_bits), k) * math.comb(ncols, k) >= _INT64_SAFE:
+            return _kernels_py.count_matrix_copies(row_bits, ncols, pi)
+        return _impl.count_matrix_copies(row_bits, ncols, pi)
+
+    def _matrix_contains_perm(row_bits, ncols, pi):
+        if ncols > _WORD_BITS:
+            return _kernels_py.matrix_contains_perm(row_bits, ncols, pi)
+        return _impl.matrix_contains_perm(row_bits, ncols, pi)
+
+    count_occurrences = _count_occurrences
+    count_matrix_copies = _count_matrix_copies
+    matrix_contains_perm = _matrix_contains_perm

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels, rngutil
-from .errors import DimensionMismatchError
 from .perms import PermLike, Permutation, as_permutation
 
 
@@ -182,17 +181,6 @@ def _pattern_of(p: "BinaryMatrix | PermLike") -> Permutation:
     return as_permutation(p)
 
 
-def _backend_for(a: BinaryMatrix, k: int):
-    # The compiled kernel packs each row into one 64-bit word and
-    # accumulates in int64; C(rows,k)*C(cols,k) bounds the count.
-    if a.cols > 64:
-        return kernels.pure
-    if 0 < k <= min(a.rows, a.cols):
-        if math.comb(a.rows, k) * math.comb(a.cols, k) >= 2**62:
-            return kernels.pure
-    return kernels
-
-
 def matrix_contains(a: BinaryMatrix, pattern: "BinaryMatrix | PermLike") -> bool:
     """True iff ``a`` contains the permutation-matrix pattern.
 
@@ -201,8 +189,7 @@ def matrix_contains(a: BinaryMatrix, pattern: "BinaryMatrix | PermLike") -> bool
     rejected.
     """
     p = _pattern_of(pattern)
-    backend = _backend_for(a, len(p))
-    return backend.matrix_contains_perm(a.row_bits, a.cols, p.zero_based)
+    return kernels.matrix_contains_perm(a.row_bits, a.cols, p.zero_based)
 
 
 def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
@@ -214,8 +201,7 @@ def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
     3
     """
     p = as_permutation(pi)
-    backend = _backend_for(a, len(p))
-    return backend.count_matrix_copies(a.row_bits, a.cols, p.zero_based)
+    return kernels.count_matrix_copies(a.row_bits, a.cols, p.zero_based)
 
 
 @dataclass(frozen=True)
@@ -309,18 +295,14 @@ def sampling_estimates(
         pi_sum += d.pi_density
         pi_sq += d.pi_density * d.pi_density
 
-    def se(total: Fraction, total_sq: Fraction) -> float:
-        if trials == 1:
-            return 0.0
-        var = (total_sq - total * total / trials) / (trials - 1)
-        return math.sqrt(max(0.0, float(var)) / trials)
-
+    one_mean, one_se = rngutil.mean_and_se(one_sum, one_sq, trials)
+    pi_mean, pi_se = rngutil.mean_and_se(pi_sum, pi_sq, trials)
     return SamplingReport(
         r=r,
         trials=trials,
         seed=seed,
-        one_mean=one_sum / trials,
-        pi_mean=pi_sum / trials,
-        one_se=se(one_sum, one_sq),
-        pi_se=se(pi_sum, pi_sq),
+        one_mean=one_mean,
+        pi_mean=pi_mean,
+        one_se=one_se,
+        pi_se=pi_se,
     )

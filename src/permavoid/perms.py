@@ -139,14 +139,6 @@ def contains(sigma: PermLike, pi: PermLike) -> bool:
     return kernels.contains(s.zero_based, p.zero_based)
 
 
-def _counting_backend(n: int, k: int):
-    # The compiled kernel counts in 64-bit integers; C(n,k) bounds the
-    # result, so anything that could exceed that goes to the pure twin.
-    if 0 < k <= n and math.comb(n, k) >= 2**62:
-        return kernels.pure
-    return kernels
-
-
 def count_occurrences(sigma: PermLike, pi: PermLike) -> int:
     """Number of occurrences of pi in sigma.
 
@@ -157,8 +149,7 @@ def count_occurrences(sigma: PermLike, pi: PermLike) -> int:
     """
     s = as_permutation(sigma)
     p = as_permutation(pi)
-    backend = _counting_backend(len(s), len(p))
-    return backend.count_occurrences(s.zero_based, p.zero_based)
+    return kernels.count_occurrences(s.zero_based, p.zero_based)
 
 
 def enumerate_occurrences(

@@ -1,4 +1,5 @@
-"""Seeded, cross-platform random streams.
+"""Seeded, cross-platform random streams and the exact arithmetic of
+the estimators built on them.
 
 All randomness in the package flows through numpy's PCG64 bit generator,
 and every derived draw (subset selection, permutation shuffling,
@@ -6,16 +7,11 @@ Bernoulli trials) is implemented here on top of ``Generator.integers``
 alone.  PCG64 produces an identical stream for a given seed on every
 platform, and the algorithms below are fixed by this module, so a seed
 pins all outputs bit-for-bit.
-
-Stream splitting contract: parallel consumers must not share a
-Generator.  ``spawn_streams(seed, count)`` derives ``count``
-statistically independent child generators from one seed via
-``numpy.random.SeedSequence.spawn``; the children depend only on
-``(seed, index)``, never on how many workers consume them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +22,24 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent child generators derived from one seed."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+def exact_probability(alpha: "Fraction | int | str") -> Fraction:
+    """``alpha`` as an exact rational, refused unless it lies in [0, 1]."""
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
+    if not 0 <= alpha.numerator <= alpha.denominator:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    return alpha
+
+
+def mean_and_se(total: Fraction, total_sq: Fraction, m: int) -> tuple[Fraction, float]:
+    """Exact sample mean and float standard error of m samples, given
+    their sum and sum of squares; the error is 0.0 when m == 1.
+    """
+    mean = total / m
+    if m == 1:
+        return mean, 0.0
+    var = (total_sq - total * total / m) / (m - 1)
+    return mean, math.sqrt(max(0.0, float(var)) / m)
 
 
 def sample_indices(rng: np.random.Generator, n: int, r: int) -> tuple[int, ...]:
@@ -65,8 +75,7 @@ def bernoulli_mask(rng: np.random.Generator, p: Fraction, count: int) -> np.ndar
     numerator, so the success probability is exactly p with no floating
     rounding even for p like 1/3.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = exact_probability(p)
     if count == 0:
         return np.zeros(0, dtype=bool)
     if p == 0:

@@ -82,6 +82,15 @@ def test_avoiders_without_collect_leaves_list_unset():
 def test_avoider_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_avoiders(13, (1, 2), KUniformHypergraph.complete(13, 2))
+    with pytest.raises(CapExceededError):
+        enumerate_avoiders(13, (1, 2), None)
+
+
+def test_none_stands_for_the_complete_hypergraph():
+    for n, pi in [(4, (1, 2)), (5, (1, 3, 2)), (3, (1, 2, 3, 4))]:
+        full = enumerate_avoiders(n, pi, KUniformHypergraph.complete(n, len(pi)), True)
+        assert enumerate_avoiders(n, pi, None, True) == full
+        assert full.lambda_edge_count == math.comb(n, len(pi))
 
 
 def test_expectation_closed_form_n2():

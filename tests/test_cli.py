@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permavoid import BinaryMatrix, __version__, permutation_matrix
+from permavoid import BinaryMatrix, KUniformHypergraph, __version__, permutation_matrix
 from permavoid.cli import main
 
 
@@ -302,14 +302,97 @@ def test_manifest_records_and_replays(capsys, tmp_path):
     assert out2 == out
 
 
-def test_threads_flag_is_validated_and_inert(capsys):
-    code, _, err = run_cli(capsys, "count", "--sigma", "1,2", "--pi", "1,2",
-                           "--threads", "0")
+# SHA-256 of stdout for seeded Monte-Carlo and random-hypergraph runs.
+# They pin the RNG draw order, the exact mean and the float standard
+# error byte for byte, so a refactor of that arithmetic cannot drift.
+GOLDEN_MATRIX = """8 8
+10110010
+01101001
+11000110
+00111010
+10010101
+01011100
+11100011
+00101110
+"""
+
+GOLDEN_DIGESTS = [
+    (["expect-mc", "--estimator", "sigma", "--n", "7", "--pi", "1,3,2",
+      "--alpha", "1/3", "--samples", "300", "--seed", "7"],
+     "cbbde533f23fcad2569ff883340a37dc2efd75a80f719b7c83a8012c23886073"),
+    (["expect-mc", "--estimator", "lambda", "--n", "5", "--k", "2",
+      "--pi", "2,1", "--alpha", "2/5", "--samples", "20", "--seed", "3"],
+     "febf81b134a5329f7cd1cf95be0f76717d687ce155142fcbbaa467b82622f6cd"),
+    (["hypergraph", "--n", "9", "--k", "3", "--alpha", "1/3", "--seed", "11"],
+     "da0f9b100f8e9c669a2af957a8d91a428ee2febcb7846deb3d3d6392f631c429"),
+    (["sample-density", "--from-file", "MATRIX", "--pi", "1,3,2", "--r", "5",
+      "--trials", "60", "--seed", "5"],
+     "a1bb7e419022ccdb7a2effa675ca1fc9067fac6e27a48b3a4f710fbbe9023ea5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=[
+    "expect-mc-sigma", "expect-mc-lambda", "hypergraph", "sample-density"])
+def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(GOLDEN_MATRIX)
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+COMPLETE_K4 = "4 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+# Each file is malformed; the CLI must refuse it with exit 2 rather than
+# crash or truncate a non-integer to an integer.
+MALFORMED_INPUTS = [
+    ("lambda", ["--pi", "2,1"], '{"n": 4, "k": 2, "edges": [1, 2]}'),
+    ("lambda", ["--pi", "2,1"], '{"n": 4, "k": 2, "edges": null}'),
+    ("lambda", ["--pi", "2,1"], '{"n": 4.7, "k": 2, "edges": [[1, 2], [2, 3]]}'),
+    ("lambda", ["--pi", "2,1"], '{"n": 4, "k": 2, "edges": [[1, 2.5], [2, 3]]}'),
+    ("lambda", ["--pi", "2,1"], '{"n": 4, "k": 2, "edges": [[true, 2]]}'),
+    ("lambda", ["--pi", "1"], '{"n": 4, "k": true, "edges": [[1], [2]]}'),
+    ("lambda", ["--pi", "2,1"], '{"n": "4", "k": 2, "edges": [[1, 2]]}'),
+    ("cliques", [], "[1, 2, 3]"),
+    ("cliques", [], "[[1, 2.5], [3, 4]]"),
+    ("cliques", [], "[[1, 2], [true, 4], [3, 4]]"),
+]
+
+
+@pytest.mark.parametrize("kind,extra,text", MALFORMED_INPUTS, ids=[
+    "edge-not-a-list", "null-edges", "float-n", "float-vertex",
+    "bool-vertex", "bool-k", "string-n", "clique-not-a-list",
+    "float-clique-vertex", "bool-clique-vertex"])
+def test_malformed_hypergraph_input_exits_2(capsys, tmp_path, kind, extra, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if kind == "lambda":
+        argv = ["avoiders", "--n", "4", "--lambda-file", str(bad), *extra]
+    else:
+        lam = tmp_path / "k4.txt"
+        lam.write_text(COMPLETE_K4)
+        argv = ["clique-cover", "--lambda-file", str(lam), "--cliques-file", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    _, out1, _ = run_cli(capsys, "count", "--sigma", "2,1,3", "--pi", "2,1")
-    _, out4, _ = run_cli(capsys, "count", "--sigma", "2,1,3", "--pi", "2,1",
-                         "--threads", "4")
-    assert out1 == out4
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_caps_refuse_before_the_complete_hypergraph_is_built(capsys, monkeypatch):
+    def refuse(cls, n, k):
+        raise AssertionError("the complete hypergraph was built")
+
+    monkeypatch.setattr(KUniformHypergraph, "complete", classmethod(refuse))
+    for argv in (["avoiders", "--n", "150", "--pi", "1,2,3"],
+                 ["build-h", "--n", "150", "--pi", "1,2,3"],
+                 ["delta", "--n", "150", "--pi", "1,2,3", "--ell", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, err
+        assert out == ""
+    # Below the caps the complete hypergraph is still only counted.
+    assert run_json(capsys, "avoiders", "--n", "5", "--pi", "1,3,2")["lambda_edges"] == 10
+    assert run_json(capsys, "build-h", "--n", "4", "--pi", "2,1")["lambda_edges"] == 6
 
 
 def test_csv_of_single_report(capsys):
@@ -323,6 +406,13 @@ def test_csv_of_single_report(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+def test_removed_threads_flag_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "count", "--sigma", "2,1", "--pi", "1,2",
+                           "--threads", "4")
+    assert code == 2
+    assert out == ""
 
 
 def test_version_flag(capsys):

@@ -47,6 +47,7 @@ def test_build_h_edge_count_formula():
         h = build_h(n, Permutation(pattern), lam)
         assert len(h.edges) == lam.edge_count * math.comb(n, k)
         assert len(set(h.edges)) == len(h.edges)
+        assert build_h(n, pattern, None) == h  # None: the complete index graph
     partial = KUniformHypergraph(3, 2, ((1, 3),))
     h = build_h(3, (1, 2), partial)
     assert len(h.edges) == 1 * math.comb(3, 2)
@@ -66,6 +67,8 @@ def test_build_h_validation_and_ceiling():
         build_h(3, (1, 2, 3), KUniformHypergraph.complete(3, 2))
     with pytest.raises(CapExceededError):
         build_h(3, (1, 2), KUniformHypergraph.complete(3, 2), ceiling=5)
+    with pytest.raises(CapExceededError):
+        build_h(3, (1, 2), None, ceiling=5)
 
 
 def test_canonical_round_trip():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from permavoid import (
@@ -21,6 +22,21 @@ def test_construction_normalizes_edge_order():
     assert h.edges == ((1, 2), (2, 3))
     assert h.edge_count == 2
     assert h.has_edge((2, 3)) and not h.has_edge((1, 3))
+
+
+def test_construction_refuses_non_integers_instead_of_truncating():
+    # Integral types such as numpy ints are still accepted.
+    h = KUniformHypergraph(np.int64(3), 2, [(np.int64(1), 2)])
+    assert h.n == 3 and h.edges == ((1, 2),)
+    for bad in [(1, 2.5), (True, 2), ("1", 2)]:
+        with pytest.raises(ValueError, match="integer"):
+            KUniformHypergraph(3, 2, [bad])
+    with pytest.raises(ValueError, match="integer"):
+        KUniformHypergraph(3.0, 2, [])
+    with pytest.raises(ValueError, match="not a list of vertices"):
+        KUniformHypergraph(3, 2, [1])
+    with pytest.raises(ValueError, match="not a list of vertices"):
+        validate_clique_cover(KUniformHypergraph.complete(3, 2), [1, 2, 3])
 
 
 def test_construction_rejects_malformed_edges():

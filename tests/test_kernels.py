@@ -4,16 +4,18 @@ inputs.  When the extension is absent everything still passes — the
 chooser already fell back — but the cross-checks are skipped.
 """
 
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
 
 import pytest
 
-from permavoid import kernels
-from permavoid.kernels import pure
+from permavoid import (
+    BinaryMatrix,
+    _kernels_py as pure,
+    count_matrix_copies,
+    kernels,
+    matrix_contains,
+)
 
 import oracles
 
@@ -113,10 +115,23 @@ def test_avoider_collection_matches_count():
     assert count_only == count
 
 
-def test_pure_override_env_var():
-    # A fresh interpreter with the override must choose the pure twins.
-    code = "from permavoid import kernels; print(kernels.BACKEND)"
-    env = dict(os.environ, PERMAVOID_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+def test_matrices_wider_than_a_word_get_exact_answers():
+    # The compiled kernel keeps a row in one 64-bit word; the guard in
+    # kernels must send a 65-column matrix to the pure twin.  Without
+    # the extension the pure twin is bound directly.
+    rng = random.Random(505)
+    grid = [[rng.randrange(2) for _ in range(65)] for _ in range(4)]
+    m = BinaryMatrix.from_rows(grid)
+    for pi in [(1, 2), (2, 1), (1, 3, 2)]:
+        want = oracles.matrix_copies_naive(grid, pi)
+        pi0 = tuple(v - 1 for v in pi)
+        assert kernels.count_matrix_copies(m.row_bits, 65, pi0) == want
+        assert count_matrix_copies(m, pi) == want
+        assert kernels.matrix_contains_perm(m.row_bits, 65, pi0) == (want > 0)
+        assert matrix_contains(m, pi) == (want > 0)
+    # The only copy of 12 uses column 65.
+    corner = BinaryMatrix.from_rows([[0] * 63 + [1, 0], [0] * 64 + [1]])
+    assert kernels.matrix_contains_perm(corner.row_bits, 65, (0, 1))
+    assert matrix_contains(corner, (1, 2))
+    assert not matrix_contains(corner, (2, 1))
+    assert count_matrix_copies(corner, (1, 2)) == 1
