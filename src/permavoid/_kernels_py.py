@@ -15,6 +15,7 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations as _lex_permutations
 
 BACKEND = "python"
@@ -126,11 +127,7 @@ def enumerate_occurrences(
 
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     """Histogram {c: #sigma in S_n with exactly c occurrences of pi}."""
-    hist: dict[int, int] = {}
-    for p in _lex_permutations(range(n)):
-        c = count_occurrences(p, pi)
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+    return Counter(count_occurrences(p, pi) for p in _lex_permutations(range(n)))
 
 
 def _edge_is_hit(sigma, edge, order) -> bool:
@@ -244,7 +241,12 @@ def count_matrix_copies(
 def matrix_contains_perm(
     row_bits: tuple[int, ...], ncols: int, pi: tuple[int, ...]
 ) -> bool:
-    """True iff the matrix contains the pattern's permutation matrix."""
+    """True iff the matrix contains the pattern's permutation matrix.
+
+    Per row k-subset, ``reach`` holds the columns where an increasing
+    chain through the rows in value order can end, as in the compiled
+    twin; Python ints make it exact at any width.
+    """
     k = len(pi)
     if k == 0:
         return True
@@ -255,25 +257,17 @@ def matrix_contains_perm(
     nrows = len(rows)
     sel = [0] * k
 
-    def exists_columns() -> bool:
-        t0 = sel[order[0]]
-        f = [(t0 >> c) & 1 for c in range(ncols)]
-        for j in range(1, k):
-            tj = sel[order[j]]
-            g = [0] * ncols
-            seen = 0
-            for c in range(ncols):
-                if seen and (tj >> c) & 1:
-                    g[c] = 1
-                seen |= f[c]
-            f = g
-        return any(f)
-
     def rec(depth: int, start: int) -> bool:
         for x in range(start, nrows - (k - depth) + 1):
             sel[depth] = rows[x]
             if depth == k - 1:
-                if exists_columns():
+                reach = sel[order[0]]
+                for j in range(1, k):
+                    if not reach:
+                        break
+                    # ~(reach ^ (reach - 1)): every bit above the lowest set one
+                    reach = sel[order[j]] & ~(reach ^ (reach - 1))
+                if reach:
                     return True
             elif rec(depth + 1, x + 1):
                 return True

@@ -16,9 +16,11 @@ hypergraph itself).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
+from typing import Iterable, Iterator
 
 from . import kernels, rngutil
 from .config import LIMITS, check_ceiling, check_enum_cap
@@ -131,30 +133,43 @@ def exact_expected_avoiders(
     alpha: "Fraction | int | str",
     cap: int | None = None,
 ) -> ExpectationReport:
-    """Evaluate E = sum_sigma (1-alpha)^(#copies) exactly in rationals.
-
-    The sum goes through the copy-count distribution, so one S_n pass
-    serves an entire alpha grid.
+    """Evaluate E = sum_sigma (1-alpha)^(#copies) exactly in rationals:
+    the one-alpha case of :func:`exact_expected_avoiders_grid`.
 
     >>> exact_expected_avoiders(2, 2, (1, 2), "1/2").exact_value
     Fraction(3, 2)
     """
-    alpha = rngutil.exact_probability(alpha)
-    p = as_permutation(pi)
-    check_dims(n, k, n, len(p))
-    dist = copy_count_distribution(n, p, cap)
-    beta = 1 - alpha
-    exact = Fraction(0)
-    for c, ways in dist.histogram.items():
-        exact += ways * beta**c
-    return ExpectationReport(
-        n=n,
-        k=k,
-        alpha=alpha,
-        exact_value=exact,
-        bound_value=_bound_value(n, k, alpha),
-        empirical_constant=_empirical_constant(n, k, alpha, exact),
-    )
+    return next(exact_expected_avoiders_grid(n, k, pi, (alpha,), cap))
+
+
+def exact_expected_avoiders_grid(
+    n: int,
+    k: int,
+    pi: PermLike,
+    alphas: "Iterable[Fraction | int | str]",
+    cap: int | None = None,
+) -> Iterator[ExpectationReport]:
+    """Yield the exact E for each alpha in turn from one S_n pass: the
+    copy-count histogram h, evaluated as E = sum_c h_c (1-alpha)^c.
+    Each alpha is checked when its turn comes, the first one before the
+    dimensions and the cap; an empty grid makes no pass."""
+    hist = None
+    for alpha in alphas:
+        alpha = rngutil.exact_probability(alpha)
+        if hist is None:
+            p = as_permutation(pi)
+            check_dims(n, k, n, len(p))
+            hist = copy_count_distribution(n, p, cap).histogram
+        beta = 1 - alpha
+        exact = sum((ways * beta**c for c, ways in hist.items()), Fraction(0))
+        yield ExpectationReport(
+            n=n,
+            k=k,
+            alpha=alpha,
+            exact_value=exact,
+            bound_value=_bound_value(n, k, alpha),
+            empirical_constant=_empirical_constant(n, k, alpha, exact),
+        )
 
 
 def _bound_value(n: int, k: int, alpha: Fraction) -> float | None:
@@ -208,21 +223,13 @@ def mc_expected_avoiders_by_sigma(
         raise ValueError("samples must be >= 1")
     p = as_permutation(pi)
     rng = rngutil.generator(seed)
-    beta = 1 - alpha
+    pi0 = p.zero_based
+    copies = Counter(
+        kernels.count_occurrences(rngutil.random_permutation_zero(rng, n), pi0)
+        for _ in range(samples)
+    )
+    mean, se = rngutil.mean_and_se(((1 - alpha) ** c, m) for c, m in copies.items())
     nfact = math.factorial(n)
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    pow_cache: dict[int, Fraction] = {}
-    for _ in range(samples):
-        sigma = rngutil.random_permutation_zero(rng, n)
-        c = kernels.count_occurrences(sigma, p.zero_based)
-        term = pow_cache.get(c)
-        if term is None:
-            term = beta**c
-            pow_cache[c] = term
-        total += term
-        total_sq += term * term
-    mean, se = rngutil.mean_and_se(total, total_sq, samples)
     return MCEstimate(
         method="sigma",
         n=n,
@@ -262,15 +269,12 @@ def mc_expected_avoiders_by_lambda(
     rng = rngutil.generator(seed)
     candidates = list(combinations(range(n), k))
     pi0 = p.zero_based
-    total = Fraction(0)
-    total_sq = Fraction(0)
+    avoiders = Counter()
     for _ in range(samples):
         mask = rngutil.bernoulli_mask(rng, alpha, len(candidates))
         edges = tuple(compress(candidates, mask))
-        count, _ = kernels.count_avoiders(n, pi0, edges, False)
-        total += count
-        total_sq += count * count
-    mean, se = rngutil.mean_and_se(total, total_sq, samples)
+        avoiders[kernels.count_avoiders(n, pi0, edges, False)[0]] += 1
+    mean, se = rngutil.mean_and_se(avoiders.items())
     return MCEstimate(
         method="lambda",
         n=n,

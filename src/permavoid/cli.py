@@ -66,8 +66,7 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _rational_grid_arg(text: str) -> list[Fraction]:
-    items = [tok for tok in text.split(",") if tok.strip()]
-    return [_rational_arg(tok.strip()) for tok in items]
+    return [_rational_arg(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _int_grid_arg(text: str) -> list[int]:
@@ -217,8 +216,7 @@ def _cmd_avoiders(args):
     return out
 
 
-def _expect_cell(n: int, k: int, pi: Permutation, alpha: Fraction, cap) -> dict:
-    rep = avoidance.exact_expected_avoiders(n, k, pi, alpha, cap=cap)
+def _expect_cell(pi: Permutation, rep: avoidance.ExpectationReport) -> dict:
     return {
         "n": rep.n,
         "k": rep.k,
@@ -233,13 +231,11 @@ def _expect_cell(n: int, k: int, pi: Permutation, alpha: Fraction, cap) -> dict:
 
 def _cmd_expect(args):
     k = args.k if args.k is not None else len(args.pi)
-    if args.alpha_grid is not None:
-        cells = [
-            _expect_cell(args.n, k, args.pi, alpha, args.enum_cap)
-            for alpha in args.alpha_grid
-        ]
-        return {"grid": cells}, cells, EXPECT_FIELDS
-    return _expect_cell(args.n, k, args.pi, args.alpha, args.enum_cap)
+    grid = args.alpha_grid
+    reports = avoidance.exact_expected_avoiders_grid(
+        args.n, k, args.pi, [args.alpha] if grid is None else grid, args.enum_cap)
+    cells = [_expect_cell(args.pi, rep) for rep in reports]
+    return cells[0] if grid is None else ({"grid": cells}, cells, EXPECT_FIELDS)
 
 
 def _cmd_expect_mc(args):

@@ -8,9 +8,9 @@ so equality, hashing, and serialization are canonical.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress
 from typing import Iterable, Sequence
 
@@ -19,22 +19,13 @@ import numpy as np
 from . import rngutil
 from .config import check_enum_cap
 from .errors import CliqueCoverError, DimensionMismatchError
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; bools, floats and strings are refused rather
-    than truncated or parsed."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+from .perms import as_int
 
 
 def _vertices(items) -> tuple[int, ...]:
     """An edge or clique as a tuple of integer vertices."""
     try:
-        return tuple(_as_int(v, "vertex") for v in items)
+        return tuple(as_int(v, "vertex") for v in items)
     except TypeError:
         raise ValueError(f"{items!r} is not a list of vertices") from None
 
@@ -59,8 +50,8 @@ class KUniformHypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_int(self.n, "n"))
-        object.__setattr__(self, "k", _as_int(self.k, "k"))
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.n < 0 or self.k < 1:
             raise ValueError("need n >= 0 and k >= 1")
         canon = []
@@ -83,13 +74,9 @@ class KUniformHypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def edge_set(self) -> frozenset:
-        cached = self.__dict__.get("_edge_set")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set"] = cached
-        return cached
+        return frozenset(self.edges)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return tuple(sorted(vertices)) in self.edge_set

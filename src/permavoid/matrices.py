@@ -14,6 +14,7 @@ row i+1, column j+1).  All indices are 1-based at the API surface.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels, rngutil
-from .perms import PermLike, Permutation, as_permutation
+from .perms import PermLike, Permutation, as_int, as_permutation
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class BinaryMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        bits = tuple(int(b) for b in self.row_bits)
+        bits = tuple(as_int(b, "packed row") for b in self.row_bits)
         object.__setattr__(self, "row_bits", bits)
         if len(bits) != self.rows:
             raise ValueError(
@@ -220,15 +221,16 @@ def densities(a: BinaryMatrix, pi: PermLike) -> DensityPair:
     density 0.
     """
     p = as_permutation(pi)
-    k = len(p)
-    cells = a.rows * a.cols
-    one = Fraction(a.ones, cells) if cells else Fraction(0)
-    pairs = math.comb(a.rows, k) * math.comb(a.cols, k)
-    if pairs:
-        pi_d = Fraction(count_matrix_copies(a, p), pairs)
-    else:
-        pi_d = Fraction(0)
-    return DensityPair(one_density=one, pi_density=pi_d)
+    pairs = math.comb(a.rows, len(p)) * math.comb(a.cols, len(p))
+    return DensityPair(
+        one_density=_ratio(a.ones, a.rows * a.cols),
+        pi_density=_ratio(count_matrix_copies(a, p), pairs),
+    )
+
+
+def _ratio(part: int, whole: int) -> Fraction:
+    """part/whole exactly, and 0 for an empty whole."""
+    return Fraction(part, whole) if whole else Fraction(0)
 
 
 def random_submatrix(
@@ -283,20 +285,17 @@ def sampling_estimates(
         raise ValueError("trials must be >= 1")
     p = as_permutation(pi)
     rng = rngutil.generator(seed)
-    one_sum = Fraction(0)
-    one_sq = Fraction(0)
-    pi_sum = Fraction(0)
-    pi_sq = Fraction(0)
+    outcomes = Counter()  # (ones, copies) of each r x r submatrix
     for _ in range(trials):
         sub = random_submatrix(a, r, rng)
-        d = densities(sub, p)
-        one_sum += d.one_density
-        one_sq += d.one_density * d.one_density
-        pi_sum += d.pi_density
-        pi_sq += d.pi_density * d.pi_density
-
-    one_mean, one_se = rngutil.mean_and_se(one_sum, one_sq, trials)
-    pi_mean, pi_se = rngutil.mean_and_se(pi_sum, pi_sq, trials)
+        outcomes[sub.ones, count_matrix_copies(sub, p)] += 1
+    pairs = math.comb(r, len(p)) ** 2
+    one_mean, one_se = rngutil.mean_and_se(
+        (_ratio(ones, r * r), m) for (ones, _), m in outcomes.items()
+    )
+    pi_mean, pi_se = rngutil.mean_and_se(
+        (_ratio(copies, pairs), m) for (_, copies), m in outcomes.items()
+    )
     return SamplingReport(
         r=r,
         trials=trials,

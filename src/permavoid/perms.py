@@ -15,6 +15,7 @@ work 0-based internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _lex_permutations
@@ -22,6 +23,16 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from .config import check_enum_cap
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; bools, floats and strings are refused rather
+    than truncated or parsed.  Numpy integers are accepted."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(as_int(v, "permutation value") for v in self.values)
         object.__setattr__(self, "values", vals)
         if sorted(vals) != list(range(1, len(vals) + 1)):
             raise ValueError(
@@ -179,7 +190,7 @@ def enumerate_permutations(
     Guarded by the enumeration cap.
     """
     check_enum_cap(n, cap)
-    pre = tuple(int(v) for v in prefix)
+    pre = tuple(as_int(v, "prefix value") for v in prefix)
     if len(set(pre)) != len(pre) or not all(1 <= v <= n for v in pre):
         raise ValueError(f"prefix must be distinct values in 1..{n}: {pre!r}")
     rest = [v for v in range(1, n + 1) if v not in set(pre)]

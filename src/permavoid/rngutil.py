@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -31,14 +32,21 @@ def exact_probability(alpha: "Fraction | int | str") -> Fraction:
     return alpha
 
 
-def mean_and_se(total: Fraction, total_sq: Fraction, m: int) -> tuple[Fraction, float]:
-    """Exact sample mean and float standard error of m samples, given
-    their sum and sum of squares; the error is 0.0 when m == 1.
+def mean_and_se(tally: Iterable[tuple[Fraction | int, int]]) -> tuple[Fraction, float]:
+    """Exact mean and float standard error (0.0 for one sample) of a
+    tally of (value, multiplicity) pairs: the reduction behind every
+    estimator.  Pairs, not a mapping, since outcomes may share a value.
     """
+    m = 0
+    total = squares = Fraction(0)
+    for value, ways in tally:
+        m += ways
+        total += ways * value
+        squares += ways * value * value
     mean = total / m
     if m == 1:
         return mean, 0.0
-    var = (total_sq - total * total / m) / (m - 1)
+    var = (squares - total * total / m) / (m - 1)
     return mean, math.sqrt(max(0.0, float(var)) / m)
 
 

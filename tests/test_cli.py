@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from permavoid import BinaryMatrix, KUniformHypergraph, __version__, permutation_matrix
+from permavoid import (
+    BinaryMatrix,
+    KUniformHypergraph,
+    __version__,
+    kernels,
+    permutation_matrix,
+)
 from permavoid.cli import main
 
 
@@ -85,6 +91,19 @@ def test_exit_code_3_on_enumeration_cap(capsys):
     assert code == 3
     assert out == ""
     assert "enum_cap" in err
+    # An alpha grid checks its first alpha, then the cap, then makes its
+    # one pass; later alphas are checked in turn.  An empty grid makes
+    # no pass, so the cap is never consulted.
+    code, out, _ = run_cli(capsys, "expect", "--n", "13", "--pi", "2,1",
+                           "--alpha-grid", ",", "--format", "csv")
+    assert code == 0
+    assert out == "n,k,pi,alpha,exact,exact_decimal,bound,empirical_constant\n"
+    code, out, _ = run_cli(capsys, "expect", "--n", "13", "--pi", "2,1",
+                           "--alpha-grid", "1/2,2")
+    assert code == 3 and out == ""
+    code, out, _ = run_cli(capsys, "expect", "--n", "4", "--pi", "2,1",
+                           "--alpha-grid", "2,1/2")
+    assert code == 2 and out == ""
 
 
 def test_cap_override_flags(capsys):
@@ -138,6 +157,21 @@ def test_expect_single_and_grid(capsys):
                     "--alpha-grid", "1/4,1/2")
     assert [cell["alpha"] for cell in grid["grid"]] == ["1/4", "1/2"]
     assert grid["grid"][0]["exact"] == "259/64"
+
+
+def test_alpha_grid_makes_one_histogram_pass(capsys, monkeypatch):
+    calls = []
+    histogram = kernels.copy_count_histogram
+
+    def counted(n, pi):
+        calls.append((n, pi))
+        return histogram(n, pi)
+
+    monkeypatch.setattr(kernels, "copy_count_histogram", counted)
+    grid = run_json(capsys, "expect", "--n", "6", "--pi", "2,1",
+                    "--alpha-grid", "1/8,1/4,1/2")
+    assert [cell["alpha"] for cell in grid["grid"]] == ["1/8", "1/4", "1/2"]
+    assert calls == [(6, (1, 0))]
 
 
 def test_expect_grid_csv(capsys):
@@ -328,11 +362,29 @@ GOLDEN_DIGESTS = [
     (["sample-density", "--from-file", "MATRIX", "--pi", "1,3,2", "--r", "5",
       "--trials", "60", "--seed", "5"],
      "a1bb7e419022ccdb7a2effa675ca1fc9067fac6e27a48b3a4f710fbbe9023ea5"),
+    (["expect", "--n", "6", "--pi", "1,3,2", "--alpha-grid", "0,1/3,1/2,1"],
+     "72479fbdd2763902ca9369dcf22fe791066c29f203709dd5b95e47324db727ff"),
+    (["expect", "--n", "6", "--pi", "1,3,2", "--alpha-grid", "0,1/3,1/2,1",
+      "--format", "csv"],
+     "adbeccb9deddd49e8b983c8f7560e7f1d818c26b63d3d1bc41aedc7d777bde77"),
+    # alpha = 0 and alpha = 1 send distinct copy counts to one value,
+    # and a single sample has standard error 0.0.
+    (["expect-mc", "--estimator", "sigma", "--n", "6", "--pi", "1,3,2",
+      "--alpha", "0", "--samples", "200", "--seed", "4"],
+     "bde3a4aee160233ef4a3fe28737d2bf5ae9378ed36af1d08fb251b17e57db6e5"),
+    (["expect-mc", "--estimator", "sigma", "--n", "6", "--pi", "1,3,2",
+      "--alpha", "1", "--samples", "200", "--seed", "4"],
+     "e5c057f55fe129c77c9908bca27a31cdd9aac3f5913cad6e5ef0487b4174820e"),
+    (["expect-mc", "--estimator", "sigma", "--n", "6", "--pi", "1,3,2",
+      "--alpha", "1/3", "--samples", "1", "--seed", "4"],
+     "b2792b205e5fce00c1cfac96eaefee107e47b68fc3aac0704896f9dec4efaf25"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=[
-    "expect-mc-sigma", "expect-mc-lambda", "hypergraph", "sample-density"])
+    "expect-mc-sigma", "expect-mc-lambda", "hypergraph", "sample-density",
+    "expect-grid-json", "expect-grid-csv", "expect-mc-sigma-alpha-0",
+    "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     matrix = tmp_path / "m.txt"
     matrix.write_text(GOLDEN_MATRIX)

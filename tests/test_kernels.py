@@ -103,6 +103,17 @@ def test_pure_kernels_match_oracles():
             pattern = tuple(v + 1 for v in pi)
             assert pure.count_occurrences(sigma, pi) == \
                 oracles.count_naive(one_based, pattern)
+    # Widths past one 64-bit word, with the ones in the last ten columns
+    # (either side of column 64), sparse enough that both answers occur.
+    for _ in range(8):
+        cols = rng.randrange(65, 69)
+        grid = [[int(j >= cols - 10 and rng.random() < 0.2) for j in range(cols)]
+                for _ in range(3)]
+        row_bits = [sum(cell << j for j, cell in enumerate(row)) for row in grid]
+        for pi in [(0, 1), (1, 0), (0, 2, 1), (2, 0, 1)]:
+            pattern = tuple(v + 1 for v in pi)
+            assert pure.matrix_contains_perm(row_bits, cols, pi) == \
+                (oracles.matrix_copies_naive(grid, pattern) > 0)
 
 
 def test_avoider_collection_matches_count():

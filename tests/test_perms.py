@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from permavoid import (
+    BinaryMatrix,
     CapExceededError,
     Permutation,
     contains,
@@ -33,6 +35,24 @@ def test_construction_rejects_non_bijections():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation((1, 2, 4))
+
+
+def test_construction_refuses_non_integers_instead_of_truncating():
+    # Each of these used to be truncated by int(): (1, 2), a count of 0,
+    # and a row with bits (2,).
+    with pytest.raises(ValueError, match="integer"):
+        Permutation((1.7, 2.2))
+    with pytest.raises(ValueError, match="integer"):
+        count_occurrences((2.9, 1.2), (True, 2.0))
+    with pytest.raises(ValueError, match="integer"):
+        BinaryMatrix(1, 2, (2.9,))
+    with pytest.raises(ValueError, match="integer"):
+        next(enumerate_permutations(3, prefix=(1.0,)))
+    # Integral types such as numpy ints are still accepted.
+    assert Permutation((np.int64(2), 1)).values == (2, 1)
+    assert BinaryMatrix(1, 2, (np.uint8(3),)).row_bits == (3,)
+    first = next(enumerate_permutations(3, prefix=(np.int64(2),)))
+    assert first.values == (2, 1, 3)
 
 
 def test_from_text_accepts_commas_and_whitespace():
