@@ -1,8 +1,10 @@
 """Build script: compiles the optional C speedups extension.
 
-The package is fully functional without the extension (a pure-Python
-twin of every kernel ships in permavoid._kernels_py); the build falls
-back to it when Cython is unavailable.
+The package is fully functional without the extension: a twin of every
+kernel ships in permavoid._kernels_py, and the build falls back to it
+when Cython is unavailable.  In that twin the full S_n passes are numpy
+sweeps over lexicographic blocks; the single-permutation and matrix
+kernels are plain Python.
 """
 
 from setuptools import Extension, setup

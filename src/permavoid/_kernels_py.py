@@ -5,6 +5,11 @@ Every function here has an identical-signature compiled counterpart;
 lockstep — tests/test_kernels.py asserts they agree on randomized
 inputs.
 
+The two full S_n passes (``copy_count_histogram``, ``count_avoiders``)
+are numpy sweeps over lexicographic blocks of up to 7! permutations;
+the kernels that look at one permutation or one matrix are plain
+Python.
+
 Conventions shared by both backends:
 
   * permutations and patterns arrive as 0-based value tuples;
@@ -15,8 +20,12 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from itertools import permutations as _lex_permutations
+from functools import lru_cache
+from itertools import chain, combinations, permutations as _lex_permutations
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -125,9 +134,55 @@ def enumerate_occurrences(
     return out
 
 
+@lru_cache(maxsize=None)
+def _lex_table(t: int) -> np.ndarray:
+    """S_t in lexicographic order as a (t, t!) uint8 array: column j is
+    the j-th permutation, so each position is one row."""
+    size = math.factorial(t)
+    flat = chain.from_iterable(_lex_permutations(range(t)))
+    return np.fromiter(flat, np.uint8, size * t).reshape(size, t).T
+
+
+def _lex_blocks(n: int):
+    """Yield S_n in lexicographic order as (n, B) uint8 blocks: each
+    (n - t)-value prefix, in lex order, above the lex table of the t
+    values it leaves, with t = min(n, 7)."""
+    t = min(n, 7)  # at most 7! = 5040 permutations per block
+    tail = _lex_table(t)
+    for prefix in _lex_permutations(range(n), n - t):
+        blk = np.empty((n, tail.shape[1]), np.uint8)
+        blk[:n - t] = np.array(prefix, np.uint8).reshape(-1, 1)
+        blk[n - t:] = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)[tail]
+        yield blk
+
+
+def _carriers(blk: np.ndarray, index_sets, order: tuple[int, ...]):
+    """Yield, for each index set e, the mask of the block's permutations
+    whose values at e[order[0]], e[order[1]], ... increase, i.e. those
+    that carry the pattern on e."""
+    for e in index_sets:
+        rows = [blk[e[t]] for t in order]
+        if len(rows) < 2:
+            yield np.ones(blk.shape[1], bool)
+            continue
+        mask = rows[0] < rows[1]
+        for a, b in zip(rows[1:], rows[2:]):
+            mask &= a < b
+        yield mask
+
+
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     """Histogram {c: #sigma in S_n with exactly c occurrences of pi}."""
-    return Counter(count_occurrences(p, pi) for p in _lex_permutations(range(n)))
+    k = len(pi)
+    order = _value_order(pi)
+    dtype = np.min_scalar_type(math.comb(n, k))  # C(n,k) bounds every count
+    hist = Counter()
+    for blk in _lex_blocks(n):
+        count = np.zeros(blk.shape[1], dtype)
+        for mask in _carriers(blk, combinations(range(n), k), order):
+            count += mask
+        hist.update(dict(enumerate(np.bincount(count).tolist())))
+    return +hist  # drops the counts no permutation has
 
 
 def _edge_is_hit(sigma, edge, order) -> bool:
@@ -167,26 +222,18 @@ def count_avoiders(
     avoidance.  Returns (count, avoiders or None); avoiders are 0-based
     value tuples in lexicographic order.
     """
+    order = _value_order(pi)
     count = 0
     out: list[tuple[int, ...]] | None = [] if collect else None
-    if edges is None:
-        for p in _lex_permutations(range(n)):
-            if not contains(p, pi):
-                count += 1
-                if collect:
-                    out.append(p)
-        return count, out
-    order = _value_order(pi)
-    for p in _lex_permutations(range(n)):
-        hit = False
-        for edge in edges:
-            if _edge_is_hit(p, edge, order):
-                hit = True
-                break
-        if not hit:
-            count += 1
-            if collect:
-                out.append(p)
+    for blk in _lex_blocks(n):
+        hit = np.zeros(blk.shape[1], bool)
+        index_sets = combinations(range(n), len(pi)) if edges is None else edges
+        for mask in _carriers(blk, index_sets, order):
+            hit |= mask
+        free = ~hit
+        count += int(np.count_nonzero(free))
+        if collect:
+            out.extend(map(tuple, blk[:, free].T.tolist()))
     return count, out
 
 

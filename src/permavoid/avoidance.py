@@ -214,14 +214,24 @@ def mc_expected_avoiders_by_sigma(
     alpha: "Fraction | int | str",
     samples: int,
     seed: int,
+    cost_ceiling: int | None = None,
 ) -> MCEstimate:
     """Estimate E by sampling sigma uniformly: the estimator is
     n! times the sample mean of (1-alpha)^(#copies of pi in sigma).
+
+    Each sample counts over C(n,k) index sets, so the projected work
+    samples * C(n,k) * k is refused above the cost ceiling; n! must be
+    a float (n <= 170) for the standard error.
     """
     alpha = rngutil.exact_probability(alpha)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     p = as_permutation(pi)
+    cost = samples * max(1, math.comb(n, len(p))) * max(1, len(p))
+    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    if n > 170:  # 171! overflows a float
+        raise ValueError(f"n! exceeds float range for n = {n}; the sigma estimator "
+                         "needs n <= 170")
     rng = rngutil.generator(seed)
     pi0 = p.zero_based
     copies = Counter(

@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__, avoidance, contraction, extremal, gridhg
@@ -242,7 +243,8 @@ def _cmd_expect_mc(args):
     k = args.k if args.k is not None else len(args.pi)
     if args.estimator == "sigma":
         est = avoidance.mc_expected_avoiders_by_sigma(
-            args.n, args.pi, args.alpha, args.samples, args.seed
+            args.n, args.pi, args.alpha, args.samples, args.seed,
+            cost_ceiling=args.cost_ceiling,
         )
     else:
         est = avoidance.mc_expected_avoiders_by_lambda(
@@ -459,6 +461,9 @@ def _cmd_sample_density(args):
 # ----------------------------------------------------------- the parser
 
 
+# Built once per process: parsing never changes it, and a parser per call is
+# cyclic garbage that piles up between full collections in long-lived callers.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permavoid",

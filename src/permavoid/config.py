@@ -13,9 +13,9 @@ environment variables:
                               grid pattern hypergraph          (default 500000)
     PERMAVOID_SUBSET_CEILING  max candidate-subset count for
                               exact independent-set counting   (default 5000000)
-    PERMAVOID_COST_CEILING    max samples * n! * |E| budget for
-                              the hypergraph-sampling estimator
-                                                               (default 5e9)
+    PERMAVOID_COST_CEILING    max samples * n! * C(n,k) * k for
+                              hypergraph sampling, samples *
+                              C(n,k) * k for sigma sampling    (default 5e9)
 """
 
 from __future__ import annotations

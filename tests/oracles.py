@@ -1,12 +1,13 @@
 """Slow, obviously-correct reference implementations.
 
 Everything here is written directly from the definitions with
-itertools, so the fast library paths can be checked against code that
-shares nothing with them.
+itertools, or from a classical closed form, so the fast library paths
+can be checked against code that shares nothing with them.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 
 def order_isomorphic(values, pattern):
@@ -143,3 +144,17 @@ def delta_naive(edges, ell):
             deg = sum(1 for other in edges if set(sub) <= set(other))
             best = max(best, deg)
     return best
+
+
+def inversion_histogram(n):
+    """{c: #sigma in S_n with c inversions}, i.e. c copies of 21: the
+    coefficients of MacMahon's q-factorial prod_{i=1..n} (1 + q + ... + q^(i-1))."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = [sum(coeffs[max(0, c - i + 1):c + 1]) for c in range(len(coeffs) + i - 1)]
+    return dict(enumerate(coeffs))
+
+
+def catalan(n):
+    """Number of permutations of length n avoiding any one pattern of length 3."""
+    return comb(2 * n, n) // (n + 1)

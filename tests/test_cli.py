@@ -13,6 +13,7 @@ from permavoid import (
     __version__,
     kernels,
     permutation_matrix,
+    rngutil,
 )
 from permavoid.cli import main
 
@@ -465,6 +466,49 @@ def test_removed_threads_flag_exits_2(capsys):
                            "--threads", "4")
     assert code == 2
     assert out == ""
+
+
+SIGMA = ["expect-mc", "--estimator", "sigma", "--alpha", "1/2"]
+
+
+def _no_sampling(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a refused run drew a sample")
+    monkeypatch.setattr(rngutil, "generator", refuse)
+
+
+def test_sigma_estimator_refuses_n_past_float_range(capsys, monkeypatch):
+    # n! is the estimator's scale factor; 171! no longer converts to a float.
+    code, out, _ = run_cli(capsys, *SIGMA, "--n", "170", "--pi", "2,1",
+                           "--samples", "3", "--seed", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f473e50893bb9042102373fd556e834386ef73a843003e60a5a8b3cd540accd0"
+    _no_sampling(monkeypatch)
+    for n in ("171", "200"):
+        code, out, err = run_cli(capsys, *SIGMA, "--n", n, "--pi", "2,1",
+                                 "--samples", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "n <= 170" in err
+
+
+def test_sigma_estimator_cost_is_gated(capsys, monkeypatch):
+    _no_sampling(monkeypatch)
+    # samples * C(2000,3) * 3 is about 8e9, past the default 5e9.
+    code, out, err = run_cli(capsys, *SIGMA, "--n", "2000", "--pi", "1,2,3",
+                             "--samples", "2")
+    assert code == 3 and out == ""
+    assert "cost_ceiling" in err
+    code, _, err = run_cli(capsys, *SIGMA, "--n", "7", "--pi", "1,3,2",
+                           "--samples", "300", "--cost-ceiling", "1000")
+    assert code == 3 and "requested 31500" in err
+    # alpha and samples are checked before the cost.
+    code, _, err = run_cli(capsys, "expect-mc", "--estimator", "sigma", "--alpha", "2",
+                           "--n", "2000", "--pi", "1,2,3", "--samples", "2")
+    assert code == 2 and "alpha" in err
+    code, _, _ = run_cli(capsys, *SIGMA, "--n", "2000", "--pi", "1,2,3",
+                         "--samples", "0")
+    assert code == 2
 
 
 def test_version_flag(capsys):

@@ -4,8 +4,9 @@ inputs.  When the extension is absent everything still passes — the
 chooser already fell back — but the cross-checks are skipped.
 """
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -146,3 +147,77 @@ def test_matrices_wider_than_a_word_get_exact_answers():
     assert matrix_contains(corner, (1, 2))
     assert not matrix_contains(corner, (2, 1))
     assert count_matrix_copies(corner, (1, 2)) == 1
+
+
+# Lengths 1 to 4.  S_n streams through blocks of at most 7! permutations,
+# so n <= 7 is one block and n = 8, 9 cross block boundaries.
+SWEEP_PATTERNS = [(0,), (1, 0), (0, 2, 1), (1, 2, 0), (1, 3, 0, 2), (0, 1, 3, 2)]
+
+
+def one_based(values):
+    return tuple(v + 1 for v in values)
+
+
+def assert_plain_ints(count, avoiders):
+    assert type(count) is int
+    assert all(type(s) is tuple and all(type(v) is int for v in s) for s in avoiders)
+
+
+def oracle_avoiders(n, pi, edges):
+    """The oracle's avoiders over 0-based edges, as 0-based tuples."""
+    return [tuple(v - 1 for v in s) for s in
+            oracles.avoiders_naive(n, one_based(pi), [one_based(e) for e in edges])]
+
+
+def assert_avoiders(n, pi, edges, want):
+    count, avoiders = pure.count_avoiders(n, pi, edges, collect=True)
+    assert avoiders == want  # the oracle lists S_n in lexicographic order
+    assert count == len(want)
+    assert_plain_ints(count, avoiders)
+    assert pure.count_avoiders(n, pi, edges) == (count, None)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_sweeps_match_oracles_within_one_block(n):
+    rng = random.Random(606 + n)
+    for pi in SWEEP_PATTERNS:
+        hist = pure.copy_count_histogram(n, pi)
+        assert hist == oracles.histogram_naive(n, one_based(pi))
+        assert all(type(c) is int and type(w) is int for c, w in hist.items())
+        complete = tuple(combinations(range(n), len(pi)))
+        want = oracle_avoiders(n, pi, complete)
+        assert_avoiders(n, pi, None, want)
+        assert_avoiders(n, pi, complete, want)
+        chosen = tuple(e for e in complete if rng.random() < 0.4)
+        assert_avoiders(n, pi, chosen, oracle_avoiders(n, pi, chosen))
+        assert_avoiders(n, pi, (), oracle_avoiders(n, pi, ()))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_sweeps_cross_block_boundaries(n):
+    nfact = math.factorial(n)
+    # With no edges every permutation avoids: the stream is S_n itself.
+    count, stream = pure.count_avoiders(n, (0, 1), (), collect=True)
+    assert stream == list(permutations(range(n)))
+    assert count == nfact
+    assert pure.copy_count_histogram(n, (1, 0)) == oracles.inversion_histogram(n)
+    for pi in SWEEP_PATTERNS:
+        k = len(pi)
+        hist = pure.copy_count_histogram(n, pi)
+        assert all(type(c) is int and type(w) is int for c, w in hist.items())
+        # Each k-set of positions carries pi for n!/k! permutations.
+        assert sum(hist.values()) == nfact
+        assert sum(c * w for c, w in hist.items()) == math.comb(n, k) * nfact // math.factorial(k)
+    for pi in [(0, 2, 1), (1, 2, 0)]:
+        assert pure.copy_count_histogram(n, pi)[0] == oracles.catalan(n)
+        count, avoiders = pure.count_avoiders(n, pi, None, collect=True)
+        assert count == len(avoiders) == oracles.catalan(n)
+        assert avoiders == sorted(set(avoiders))
+        assert_plain_ints(count, avoiders)
+        assert not any(oracles.contains_naive(one_based(s), one_based(pi))
+                       for s in avoiders)
+        complete = tuple(combinations(range(n), 3))
+        assert pure.count_avoiders(n, pi, complete, collect=True) == (count, avoiders)
+    pi = (1, 3, 0, 2)
+    edges = tuple(sorted(random.Random(707 + n).sample(list(combinations(range(n), 4)), 3)))
+    assert_avoiders(n, pi, edges, oracle_avoiders(n, pi, edges))
