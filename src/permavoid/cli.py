@@ -362,7 +362,8 @@ def _cmd_min_copies(args):
 
 def _cmd_max_ones(args):
     cap = args.matrix_cap if args.mode == "exhaustive" else args.enum_cap
-    rep = extremal.max_ones_avoiding(args.n, args.pi, method=args.mode, cap=cap)
+    rep = extremal.max_ones_avoiding(args.n, args.pi, method=args.mode, cap=cap,
+                                     cost_ceiling=args.cost_ceiling)
     return {
         "n": rep.n,
         "pi": rep.pattern.to_text(),

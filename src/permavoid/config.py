@@ -15,7 +15,9 @@ environment variables:
                               exact independent-set counting   (default 5000000)
     PERMAVOID_COST_CEILING    max samples * n! * C(n,k) * k for
                               hypergraph sampling, samples *
-                              C(n,k) * k for sigma sampling    (default 5e9)
+                              C(n,k) * k for sigma sampling,
+                              states * 2^n for the max-ones
+                              row-transfer search              (default 5e9)
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Four small instruments around the same question — how many 1s force
 how many pattern copies:
 
-  * ``max_ones_avoiding``: the exact extremal function at desk scale
-    (most ones in an n x n matrix with zero copies);
+  * ``max_ones_avoiding``: the exact extremal function ex(n, P) (most
+    ones in an n x n matrix with zero copies), by brute force or by a
+    dynamic program over rows;
   * ``min_copies_brute``: the exact supersaturation floor (fewest
     copies over all matrices with a prescribed number of ones);
   * ``extremal_block_diagonal``: the diagonal-blocks construction
@@ -22,7 +23,7 @@ from itertools import chain, combinations, permutations as _lex_permutations, pr
 from typing import Iterator
 
 from . import kernels
-from .config import check_enum_cap, check_matrix_cap
+from .config import LIMITS, check_ceiling, check_enum_cap, check_matrix_cap
 from .errors import DimensionMismatchError
 from .matrices import BinaryMatrix, count_matrix_copies
 from .perms import PermLike, Permutation, as_permutation, copy_count_distribution
@@ -30,7 +31,9 @@ from .perms import PermLike, Permutation, as_permutation, copy_count_distributio
 
 @dataclass(frozen=True)
 class MaxOnesReport:
-    """Exact (or branch-and-bound) maximum ones among avoiding matrices."""
+    """Exact maximum ones among avoiding matrices.  The search's
+    ``method`` keeps its old label "branch-and-bound" so that its
+    output stays byte-identical."""
 
     n: int
     pattern: Permutation
@@ -50,14 +53,16 @@ def max_ones_avoiding(
     pi: PermLike,
     method: str = "exhaustive",
     cap: int | None = None,
+    cost_ceiling: int | None = None,
 ) -> MaxOnesReport:
     """Maximum number of ones in an n x n 0-1 matrix with no copy of
     the pattern matrix of pi.
 
-    ``method="exhaustive"`` sweeps all 2^(n*n) matrices and is gated
-    by the matrix cap; ``method="search"`` runs a branch-and-bound
-    over entries that still proves optimality but is labeled
-    separately because its running time is input-dependent.
+    ``method="exhaustive"`` sweeps all 2^(n*n) matrices under the
+    matrix cap; its witness is the optimum of least mask value.
+    ``method="search"`` is an exact dynamic program over rows, under the
+    enumeration cap and ``cost_ceiling`` (2^n per state); its witness is
+    the lex-greatest optimum in row-major cell order.
 
     >>> max_ones_avoiding(2, (1, 2)).max_ones
     3
@@ -82,7 +87,7 @@ def max_ones_avoiding(
         witness = BinaryMatrix(n, n, _mask_rows(best_mask, n))
     elif method == "search":
         check_enum_cap(n, cap)
-        witness = _max_ones_branch_and_bound(n, p)
+        witness = _max_ones_row_transfer(n, p.zero_based, cost_ceiling)
         best_ones = witness.ones
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -96,38 +101,83 @@ def max_ones_avoiding(
     )
 
 
-def _max_ones_branch_and_bound(n: int, p: Permutation) -> BinaryMatrix:
-    """Depth-first over cells in row-major order, 1 before 0.
+def _max_ones_row_transfer(
+    n: int, pi0: tuple[int, ...], cost_ceiling: int | None
+) -> BinaryMatrix:
+    """Dynamic program over rows for the most ones with no copy of pi0.
 
-    Any matrix containing the pattern only gains copies as later cells
-    are filled, so a branch can be abandoned the moment the partial
-    matrix contains it; the other prune is the trivial ones-plus-
-    remaining bound.  First optimum found is returned, which the fixed
-    cell order makes deterministic.
+    A matrix row serves at most one pattern row, so rows 0..i-1 pass on
+    only the partial embeddings they realise: columns order-isomorphic
+    to pi0[:t], t < k, each numbered e = (t << n) | column set.  A state
+    S is the bitset of those numbers, and ``best(i, S)`` the most ones
+    rows i.. can add to it without completing an embedding; each new
+    state is charged 2^n against the cost ceiling.
+
+    The witness takes, row by row, the first optimal mask with column 0
+    most significant and 1 before 0: the lex-greatest optimum in
+    row-major cell order, as a depth-first search over cells finds it.
     """
-    pi0 = p.zero_based
-    cells = n * n
-    rows = [0] * n
-    best_ones = -1
-    best_rows: tuple[int, ...] = (0,) * n
+    k, unit = len(pi0), 1 << n
+    order = sorted(range(unit), key=lambda m: format(m, f"0{n}b")[::-1], reverse=True)
+    by_ones = [(m, m.bit_count()) for m in sorted(order, key=int.bit_count, reverse=True)]
+    bits = [[1 << j for j in range(n) if m >> j & 1] for m in range(unit)]
+    rank = [sum(v < pi0[t] for v in pi0[:t]) for t in range(k)]
+    allowed: dict[int, int] = {}  # embedding -> the columns that extend it
+    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    spent = 0
 
-    def rec(cell: int, ones: int) -> None:
-        nonlocal best_ones, best_rows
-        if ones + (cells - cell) <= best_ones:
-            return
-        if cell == cells:
-            best_ones = ones
-            best_rows = tuple(rows)
-            return
-        i, j = divmod(cell, n)
-        rows[i] |= 1 << j
-        if not kernels.matrix_contains_perm(tuple(rows), n, pi0):
-            rec(cell + 1, ones + 1)
-        rows[i] &= ~(1 << j)
-        rec(cell + 1, ones)
+    def expand(state):
+        kill, grow = 0, []  # columns completing a copy; (child base, columns)
+        while state:
+            e = (state & -state).bit_length() - 1
+            state &= state - 1
+            if e not in allowed:
+                t, used = divmod(e, unit)
+                cols = [j for j in range(n) if used >> j & 1]
+                lo = cols[rank[t] - 1] if rank[t] else -1
+                hi = cols[rank[t]] if rank[t] < t else n
+                allowed[e] = (1 << hi) - (1 << (lo + 1))
+            if e >> n == k - 1:
+                kill |= allowed[e]
+            else:
+                grow.append((e + unit, allowed[e]))
+        return kill, grow
 
-    rec(0, 0)
-    return BinaryMatrix(n, n, best_rows)
+    def step(state, grow, mask):
+        for e, a in grow:
+            for b in bits[a & mask]:
+                state |= 1 << (e + b)
+        return state
+
+    def best(i, state):
+        nonlocal spent
+        if i == n:
+            return 0
+        if state not in memo[i]:
+            spent += unit
+            check_ceiling("cost_ceiling", spent, cost_ceiling, LIMITS.mc_cost_ceiling)
+            kill, grow = expand(state)
+            rest, top = n * (n - 1 - i), -1
+            for m, ones in by_ones:
+                if ones + rest <= top:
+                    break
+                if not m & kill:
+                    top = max(top, ones + best(i + 1, step(state, grow, m)))
+            memo[i][state] = top
+        return memo[i][state]
+
+    state, rows = 1, []
+    for i in range(n):
+        target = best(i, state)
+        kill, grow = expand(state)
+        for m in order:
+            if not m & kill and m.bit_count() + n * (n - 1 - i) >= target:
+                nxt = step(state, grow, m)
+                if m.bit_count() + best(i + 1, nxt) == target:
+                    break
+        rows.append(m)
+        state = nxt
+    return BinaryMatrix(n, n, tuple(rows))
 
 
 def easy_bound_check(m: BinaryMatrix, pi: PermLike, c: "Fraction | int | str") -> bool:

@@ -88,6 +88,17 @@ def matrix_copies_naive(grid, pi):
     return count
 
 
+def matrix_contains_naive(grid, pi):
+    k = len(pi)
+    n_rows = len(grid)
+    n_cols = len(grid[0]) if grid else 0
+    return any(
+        all(grid[ri[i]][ci[pi[i] - 1]] for i in range(k))
+        for ri in combinations(range(n_rows), k)
+        for ci in combinations(range(n_cols), k)
+    )
+
+
 def contract2_naive(grid):
     n = len(grid)
     out = []
@@ -108,6 +119,28 @@ def max_ones_naive(n, pi):
         if matrix_copies_naive(grid, pi) == 0:
             best = max(best, sum(map(sum, grid)))
     return best
+
+
+def max_ones_witness_naive(n, pi):
+    """The first avoiding matrix with the most ones when all 0/1 matrices
+    of order n are scanned row-major, trying 1 before 0 at each cell,
+    as a list of row lists.  That order is the integers from 2^(n*n)-1
+    down to 0 with cell (0, 0) as the top bit."""
+    cells = n * n
+    best, best_grid = -1, None
+    for v in range((1 << cells) - 1, -1, -1):
+        if bin(v).count("1") <= best:
+            continue
+        grid = [[(v >> (cells - 1 - i * n - j)) & 1 for j in range(n)] for i in range(n)]
+        if not matrix_contains_naive(grid, pi):
+            best, best_grid = bin(v).count("1"), grid
+    return best_grid
+
+
+def ex_identity(n, k):
+    """Most ones in an n x n matrix avoiding the k x k identity (Füredi and
+    Hajnal): 2(k-1)n - (k-1)^2.  The anti-identity shares it by the row flip."""
+    return 2 * (k - 1) * n - (k - 1) ** 2
 
 
 def min_copies_naive(n, a, pi):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -281,6 +282,21 @@ def test_max_ones_cli(capsys):
     assert data["method"] == "branch-and-bound"
 
 
+def test_max_ones_search_cost_is_gated(capsys):
+    # Each row-transfer state is charged 2^n = 512 against the ceiling.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "max-ones", "--n", "9", "--pi", "1,2,3",
+                             "--mode", "search", "--cost-ceiling", "100000")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "cost_ceiling" in err
+    # The enumeration cap is checked first.
+    code, out, err = run_cli(capsys, "max-ones", "--n", "13", "--pi", "1,2",
+                             "--mode", "search", "--cost-ceiling", "1")
+    assert code == 3 and out == ""
+    assert "enum_cap" in err
+
+
 def test_sna_cli(capsys):
     data = run_json(capsys, "sna", "--n", "4", "--a", "2", "--list")
     assert data["members"] == ["1,2,3,4", "1,2,4,3", "2,1,3,4", "2,1,4,3"]
@@ -379,13 +395,31 @@ GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "6", "--pi", "1,3,2",
       "--alpha", "1/3", "--samples", "1", "--seed", "4"],
      "b2792b205e5fce00c1cfac96eaefee107e47b68fc3aac0704896f9dec4efaf25"),
+    # The extremal search's optimum and witness, byte for byte.
+    (["max-ones", "--n", "5", "--pi", "1,2,3", "--mode", "search"],
+     "0944a2fbd46dd4f2b73b3ee454af7de0ec36b0528776f7552358e1e02cfb8bee"),
+    (["max-ones", "--n", "5", "--pi", "3,2,1", "--mode", "search"],
+     "5092318ced59c5a47235fe27bb4f13db3a1e09a11a931b2ac2cd72186f589331"),
+    (["max-ones", "--n", "6", "--pi", "1,2", "--mode", "search"],
+     "0d18078880c543b39a4207111083d807383d7e2228e4d719988b03e1703aacfa"),
+    (["max-ones", "--n", "4", "--pi", "1,2", "--mode", "search"],
+     "9a4aea40f8719e8133dc106c3107d43153edbff2a9d6851453a5578247b6c36d"),
+    (["max-ones", "--n", "5", "--pi", "1,3,2", "--mode", "search"],
+     "df812ef6f195e08a5fe7daf91cc375b5ccb9b20fffb57c0e0fbb6d5315204f3a"),
+    (["max-ones", "--n", "1", "--pi", "1", "--mode", "search"],
+     "fa53c2d0bf723c6d191f98a472e9286b18b682d639f847fa03909c2808c21df7"),
+    # k > n: the full matrix holds no copy.
+    (["max-ones", "--n", "2", "--pi", "1,2,3", "--mode", "search"],
+     "a960ce6ad94a3077b74c5279d352c180634c1de1d90ae10cf79508b77220f850"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=[
     "expect-mc-sigma", "expect-mc-lambda", "hypergraph", "sample-density",
     "expect-grid-json", "expect-grid-csv", "expect-mc-sigma-alpha-0",
-    "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample"])
+    "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample",
+    "max-ones-123-n5", "max-ones-321-n5", "max-ones-12-n6", "max-ones-12-n4",
+    "max-ones-132-n5", "max-ones-1-n1", "max-ones-123-n2"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     matrix = tmp_path / "m.txt"
     matrix.write_text(GOLDEN_MATRIX)

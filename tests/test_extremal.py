@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,6 +53,26 @@ def test_max_ones_methods_agree():
             for rep in (exhaustive, search):
                 assert count_matrix_copies(rep.witness, pattern) == 0
                 assert rep.witness.ones == rep.max_ones
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_witness_is_first_optimum_in_search_order(n, k):
+    for pattern in itertools.permutations(range(1, k + 1)):
+        rep = max_ones_avoiding(n, pattern, method="search")
+        assert rep.witness.to_lists() == oracles.max_ones_witness_naive(n, pattern)
+
+
+@pytest.mark.parametrize("pattern,n", [
+    (p, n) for p in [(1, 2), (2, 1)] for n in (6, 7, 8)
+] + [
+    (p, n) for p in [(1, 2, 3), (3, 2, 1)] for n in (5, 6)
+], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
+def test_search_meets_identity_formula_past_brute_force(pattern, n):
+    rep = max_ones_avoiding(n, pattern, method="search")
+    want = oracles.ex_identity(n, len(pattern))
+    assert rep.max_ones == rep.witness.ones == want
+    assert count_matrix_copies(rep.witness, pattern) == 0
 
 
 def test_max_ones_validation_and_caps():
