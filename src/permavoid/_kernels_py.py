@@ -1,14 +1,17 @@
 """Pure-Python kernels: the reference twin of permavoid._speedups.
 
-Every function here has an identical-signature compiled counterpart;
+Every public function here but ``enumerate_occurrences`` and the two
+block kernels has an identical-signature compiled counterpart;
 ``permavoid.kernels`` picks whichever is importable.  Keep the two in
 lockstep — tests/test_kernels.py asserts they agree on randomized
 inputs.
 
 The two full S_n passes (``copy_count_histogram``, ``count_avoiders``)
-are numpy sweeps over lexicographic blocks of up to 7! permutations;
-the kernels that look at one permutation or one matrix are plain
-Python.
+are numpy sweeps over lexicographic blocks of up to 7! permutations.
+The block kernels (``occurrence_counts``, ``matrix_copy_counts``)
+count a whole block of Monte-Carlo samples per call, on either
+backend.  The kernels that look at one permutation or one matrix are
+plain Python.
 
 Conventions shared by both backends:
 
@@ -171,18 +174,24 @@ def _carriers(blk: np.ndarray, index_sets, order: tuple[int, ...]):
         yield mask
 
 
+def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
+    """{c: #rows with exactly c occurrences of pi} over a (B, n) block
+    of permutations, one per row; counts no row has are left out."""
+    n = blk.shape[1]
+    k = len(pi)
+    count = np.zeros(len(blk), np.min_scalar_type(math.comb(n, k)))  # C(n,k) bounds it
+    positions = np.ascontiguousarray(blk.T)  # one row per position
+    for mask in _carriers(positions, combinations(range(n), k), _value_order(pi)):
+        count += mask
+    return {c: rows for c, rows in enumerate(np.bincount(count).tolist()) if rows}
+
+
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     """Histogram {c: #sigma in S_n with exactly c occurrences of pi}."""
-    k = len(pi)
-    order = _value_order(pi)
-    dtype = np.min_scalar_type(math.comb(n, k))  # C(n,k) bounds every count
     hist = Counter()
     for blk in _lex_blocks(n):
-        count = np.zeros(blk.shape[1], dtype)
-        for mask in _carriers(blk, combinations(range(n), k), order):
-            count += mask
-        hist.update(dict(enumerate(np.bincount(count).tolist())))
-    return +hist  # drops the counts no permutation has
+        hist.update(occurrence_counts(blk.T, pi))
+    return hist
 
 
 def _edge_is_hit(sigma, edge, order) -> bool:
@@ -283,6 +292,33 @@ def count_matrix_copies(
 
     rec(0, 0)
     return total
+
+
+def matrix_copy_counts(blk: np.ndarray, pi: tuple[int, ...]) -> list[int]:
+    """Copies of the pattern's permutation matrix in each 0-1 matrix of
+    a (B, rows, cols) uint8 block: the column sweep of
+    ``count_matrix_copies``, run on every matrix of the block at once."""
+    size, nrows, ncols = blk.shape
+    k = len(pi)
+    if k == 0:
+        return [1] * size
+    if k > nrows or k > ncols:
+        return [0] * size
+    order = _value_order(pi)
+    # A partial sweep counts chains of at most k columns, so it is at
+    # most C(cols, min(k, cols // 2)); each of the C(rows, k) row
+    # subsets adds at most C(cols, k).
+    dtype = np.min_scalar_type(math.comb(nrows, k) * math.comb(ncols, min(k, ncols // 2)))
+    total = np.zeros(size, dtype)
+    for sel in combinations(range(nrows), k):
+        f = blk[:, sel[order[0]]].astype(dtype)
+        for j in range(1, k):
+            g = np.zeros_like(f)  # g[c]: chains ending left of column c, where row j has a 1
+            np.cumsum(f[:, :-1], axis=1, dtype=dtype, out=g[:, 1:])
+            g *= blk[:, sel[order[j]]]
+            f = g
+        total += f.sum(axis=1, dtype=dtype)
+    return total.tolist()
 
 
 def matrix_contains_perm(

@@ -234,10 +234,9 @@ def mc_expected_avoiders_by_sigma(
                          "needs n <= 170")
     rng = rngutil.generator(seed)
     pi0 = p.zero_based
-    copies = Counter(
-        kernels.count_occurrences(rngutil.random_permutation_zero(rng, n), pi0)
-        for _ in range(samples)
-    )
+    copies = Counter()
+    for blk in rngutil.permutation_blocks(rng, n, samples):
+        copies.update(kernels.occurrence_counts(blk, pi0))
     mean, se = rngutil.mean_and_se(((1 - alpha) ** c, m) for c, m in copies.items())
     nfact = math.factorial(n)
     return MCEstimate(

@@ -442,7 +442,8 @@ def _cmd_independents(args):
 def _cmd_sample_density(args):
     m = _load_matrix(args.from_file)
     exact = densities(m, args.pi)
-    rep = sampling_estimates(m, args.pi, args.r, args.trials, args.seed)
+    rep = sampling_estimates(m, args.pi, args.r, args.trials, args.seed,
+                             cost_ceiling=args.cost_ceiling)
     return {
         "pi": args.pi.to_text(),
         "r": rep.r,

@@ -16,7 +16,9 @@ environment variables:
     PERMAVOID_COST_CEILING    max samples * n! * C(n,k) * k for
                               hypergraph sampling, samples *
                               C(n,k) * k for sigma sampling,
-                              states * 2^n for the max-ones
+                              trials * C(r,k) * k * r for
+                              submatrix sampling, states *
+                              2^n for the max-ones
                               row-transfer search              (default 5e9)
 """
 

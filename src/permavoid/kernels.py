@@ -16,6 +16,14 @@ the pure functions are bound directly, with no guard in between.
 The edge kernels assume a pattern of length >= 1.  ``enumerate_occurrences``
 builds Python tuples either way, so it is only implemented once, in the
 pure module.
+
+So are the block kernels, bound from the pure module on either backend:
+``occurrence_counts`` tallies a (B, n) block of permutations and
+``matrix_copy_counts`` counts copies in each matrix of a (B, rows, cols)
+block.  The Monte-Carlo estimators hand them the blocks of
+``rngutil.permutation_blocks`` and ``rngutil.subset_pair_blocks``,
+whose rows run in the order of the per-sample draws, so a seed gives
+the same tallies as one kernel call per sample would.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ except ImportError:
 BACKEND: str = _impl.BACKEND
 
 enumerate_occurrences = _kernels_py.enumerate_occurrences
+occurrence_counts = _kernels_py.occurrence_counts
+matrix_copy_counts = _kernels_py.matrix_copy_counts
 contains = _impl.contains
 copy_count_histogram = _impl.copy_count_histogram
 hits_edge = _impl.hits_edge

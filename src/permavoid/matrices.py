@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels, rngutil
+from .config import LIMITS, check_ceiling
 from .perms import PermLike, Permutation, as_int, as_permutation
 
 
@@ -233,6 +234,19 @@ def _ratio(part: int, whole: int) -> Fraction:
     return Fraction(part, whole) if whole else Fraction(0)
 
 
+def _entries(a: BinaryMatrix) -> np.ndarray:
+    """The entries of ``a`` as a (rows, cols) uint8 array."""
+    width = (a.cols + 7) // 8
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in a.row_bits),
+                           np.uint8).reshape(a.rows, width)
+    return np.unpackbits(packed, axis=1, count=a.cols, bitorder="little")
+
+
+def _check_sample_size(a: BinaryMatrix, r: int) -> None:
+    if not (0 <= r <= a.rows and r <= a.cols):
+        raise ValueError(f"r={r} exceeds matrix dimensions {a.rows}x{a.cols}")
+
+
 def random_submatrix(
     a: BinaryMatrix, r: int, rng: "np.random.Generator | int"
 ) -> BinaryMatrix:
@@ -241,21 +255,18 @@ def random_submatrix(
     Rows are drawn first, then columns, each as a uniform r-subset;
     the induced submatrix keeps the original relative order.  ``rng``
     may be a seed or a generator from :func:`permavoid.rngutil.generator`.
+    This is one trial of the draws :func:`sampling_estimates` makes.
     """
-    if not (0 <= r <= a.rows and r <= a.cols):
-        raise ValueError(f"r={r} exceeds matrix dimensions {a.rows}x{a.cols}")
+    _check_sample_size(a, r)
     if isinstance(rng, int):
         rng = rngutil.generator(rng)
-    row_idx = rngutil.sample_indices(rng, a.rows, r)
-    col_idx = rngutil.sample_indices(rng, a.cols, r)
-    bits = []
-    for i in row_idx:
-        src = a.row_bits[i]
-        mask = 0
-        for jj, j in enumerate(col_idx):
-            mask |= ((src >> j) & 1) << jj
-        bits.append(mask)
-    return BinaryMatrix(r, r, tuple(bits))
+    row_sets, col_sets = next(rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, 1))
+    cols = col_sets[0].tolist()
+    bits = tuple(
+        sum(((a.row_bits[i] >> j) & 1) << jj for jj, j in enumerate(cols))
+        for i in row_sets[0].tolist()
+    )
+    return BinaryMatrix(r, r, bits)
 
 
 @dataclass(frozen=True)
@@ -278,17 +289,33 @@ class SamplingReport:
 
 
 def sampling_estimates(
-    a: BinaryMatrix, pi: PermLike, r: int, trials: int, seed: int
+    a: BinaryMatrix,
+    pi: PermLike,
+    r: int,
+    trials: int,
+    seed: int,
+    cost_ceiling: int | None = None,
 ) -> SamplingReport:
-    """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices."""
+    """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices.
+
+    Each trial sweeps r columns for each of C(r,k) row subsets and k
+    pattern rows, so the projected work trials * C(r,k) * k * r is
+    refused above the cost ceiling before any draw.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = as_permutation(pi)
+    _check_sample_size(a, r)
+    k = len(p)
+    cost = trials * max(1, math.comb(r, k)) * max(1, k) * max(1, r)
+    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
     rng = rngutil.generator(seed)
     outcomes = Counter()  # (ones, copies) of each r x r submatrix
-    for _ in range(trials):
-        sub = random_submatrix(a, r, rng)
-        outcomes[sub.ones, count_matrix_copies(sub, p)] += 1
+    entries = _entries(a)
+    for rows, cols in rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials):
+        blk = entries[rows[:, :, None], cols[:, None, :]]  # (B, r, r) submatrices
+        ones = blk.sum(axis=(1, 2)).tolist()
+        outcomes.update(zip(ones, kernels.matrix_copy_counts(blk, p.zero_based)))
     pairs = math.comb(r, len(p)) ** 2
     one_mean, one_se = rngutil.mean_and_se(
         (_ratio(ones, r * r), m) for (ones, _), m in outcomes.items()

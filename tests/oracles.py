@@ -188,6 +188,15 @@ def inversion_histogram(n):
     return dict(enumerate(coeffs))
 
 
+def q_factorial(n, q):
+    """MacMahon's [n]_q! = prod_{i=1..n} (1 + q + ... + q^(i-1)): the sum
+    of q^(#inversions) over S_n."""
+    total = 1
+    for i in range(1, n + 1):
+        total *= sum(q**j for j in range(i))
+    return total
+
+
 def catalan(n):
     """Number of permutations of length n avoiding any one pattern of length 3."""
     return comb(2 * n, n) // (n + 1)

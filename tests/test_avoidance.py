@@ -148,6 +148,18 @@ def test_sigma_estimator_is_deterministic_and_close():
     assert est1.method == "sigma"
 
 
+@pytest.mark.parametrize("alpha, seed", [(Fraction(1, 1000), 31), (Fraction(1, 200), 32)])
+def test_sigma_estimator_meets_q_factorial_past_brute_force(alpha, seed):
+    # Copies of 21 are inversions, so E = sum over S_n of (1-alpha)^inv
+    # is MacMahon's q-factorial at q = 1 - alpha; n = 50 is far past
+    # any S_n pass.
+    n, samples = 50, 20_000
+    est = mc_expected_avoiders_by_sigma(n, (2, 1), alpha, samples, seed)
+    exact = oracles.q_factorial(n, 1 - alpha)
+    assert est.samples == samples and est.std_error > 0
+    assert abs(float(est.estimate - exact)) <= 3 * est.std_error
+
+
 def test_lambda_estimator_is_deterministic_and_close():
     est1 = mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), 400, 23)
     est2 = mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), 400, 23)

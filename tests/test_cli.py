@@ -545,6 +545,27 @@ def test_sigma_estimator_cost_is_gated(capsys, monkeypatch):
     assert code == 2
 
 
+def test_sample_density_cost_is_gated(capsys, monkeypatch, tmp_path):
+    _no_sampling(monkeypatch)
+    src = tmp_path / "m.txt"
+    src.write_text(permutation_matrix((2, 4, 1, 3)).to_text() + "\n")
+    density = ["sample-density", "--from-file", str(src), "--pi", "1,2"]
+    # trials * C(3,2) * 2 * 3 = 1.8e13, past the default 5e9.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *density, "--r", "3", "--trials", str(10**12))
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "cost_ceiling" in err
+    code, _, err = run_cli(capsys, *density, "--r", "3", "--trials", "100",
+                           "--cost-ceiling", "1000")
+    assert code == 3 and "requested 1800" in err
+    # trials and r are checked before the cost.
+    code, _, _ = run_cli(capsys, *density, "--r", "5", "--trials", str(10**12))
+    assert code == 2
+    code, _, _ = run_cli(capsys, *density, "--r", "3", "--trials", "0")
+    assert code == 2
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

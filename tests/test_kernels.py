@@ -6,8 +6,10 @@ chooser already fell back — but the cross-checks are skipped.
 
 import math
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from permavoid import (
@@ -221,3 +223,30 @@ def test_sweeps_cross_block_boundaries(n):
     pi = (1, 3, 0, 2)
     edges = tuple(sorted(random.Random(707 + n).sample(list(combinations(range(n), 4)), 3)))
     assert_avoiders(n, pi, edges, oracle_avoiders(n, pi, edges))
+
+
+def test_occurrence_counts_match_oracles_on_blocks():
+    rng = random.Random(808)
+    # k = 0, k = 1, k > n and an empty block among them
+    for n, size in [(0, 3), (1, 4), (2, 5), (3, 0), (5, 40), (7, 60)]:
+        blk = np.array([random_sigma(rng, n) for _ in range(size)], np.uint8).reshape(size, n)
+        for pi in [()] + zero_based_patterns():
+            tally = kernels.occurrence_counts(blk, pi)
+            want = Counter(oracles.count_naive(s, pi) for s in blk.tolist())
+            assert tally == want
+            assert all(type(c) is int and type(m) is int and m > 0
+                       for c, m in tally.items())
+
+
+def test_matrix_copy_counts_match_oracles_on_blocks():
+    rng = random.Random(909)
+    # r = 0, non-square blocks, and k > r and k = 0 from the patterns
+    for rows, cols, size in [(0, 0, 3), (1, 1, 4), (3, 3, 30), (4, 6, 30), (6, 4, 30),
+                             (5, 5, 0)]:
+        blk = np.array([rng.randrange(2) for _ in range(size * rows * cols)],
+                       np.uint8).reshape(size, rows, cols)
+        for pi in [()] + zero_based_patterns():
+            counts = kernels.matrix_copy_counts(blk, pi)
+            want = [oracles.matrix_copies_naive(grid, one_based(pi)) for grid in blk.tolist()]
+            assert counts == want
+            assert all(type(c) is int for c in counts)

@@ -5,6 +5,7 @@ import pytest
 
 from permavoid import (
     BinaryMatrix,
+    rngutil,
     Permutation,
     count_matrix_copies,
     densities,
@@ -150,6 +151,20 @@ def test_sampling_full_size_recovers_exact_densities():
     assert rep.one_mean == exact.one_density
     assert rep.pi_mean == exact.pi_density
     assert rep.one_se == 0.0 and rep.pi_se == 0.0
+
+
+def test_sampling_blocks_equal_successive_random_submatrices():
+    # The block path gathers every trial of a block at once; it must see
+    # the submatrices that one random_submatrix call per trial sees.
+    # 231 is not its own inverse, so a transposed gather would show.
+    m = random_matrix(random.Random(12), 5, 8)
+    trials = rngutil.BLOCK + 3
+    rep = sampling_estimates(m, (2, 3, 1), r=3, trials=trials, seed=21)
+    rng = rngutil.generator(21)
+    subs = [random_submatrix(m, 3, rng) for _ in range(trials)]
+    assert rep.one_mean == Fraction(sum(s.ones for s in subs), 9 * trials)
+    assert rep.pi_mean == Fraction(sum(count_matrix_copies(s, (2, 3, 1)) for s in subs),
+                                   trials)
 
 
 def test_sampling_is_deterministic_and_unbiased_enough():
