@@ -9,9 +9,11 @@ inputs.
 The two full S_n passes (``copy_count_histogram``, ``count_avoiders``)
 are numpy sweeps over lexicographic blocks of up to 7! permutations.
 The block kernels (``occurrence_counts``, ``matrix_copy_counts``)
-count a whole block of Monte-Carlo samples per call, on either
-backend.  The kernels that look at one permutation or one matrix are
-plain Python.
+count a whole block of permutations or matrices per call, on either
+backend.  ``count_matrix_copies`` is ``matrix_copy_counts`` on a block
+of one matrix, so every matrix copy count is a numpy sweep over chunks
+of row subsets.  The kernels that look at one permutation, and
+``matrix_contains_perm``, are plain Python.
 
 Conventions shared by both backends:
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, permutations as _lex_permutations
+from itertools import chain, combinations, islice, permutations as _lex_permutations
 
 import numpy as np
 
@@ -246,58 +248,67 @@ def count_avoiders(
     return count, out
 
 
+def unpack_rows(row_bits, ncols: int) -> np.ndarray:
+    """Per-row column bitmasks as a (rows, cols) uint8 array of entries."""
+    width = (ncols + 7) // 8
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in row_bits),
+                           np.uint8).reshape(len(row_bits), width)
+    return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
+
+
 def count_matrix_copies(
     row_bits: tuple[int, ...], ncols: int, pi: tuple[int, ...]
 ) -> int:
-    """Copies of the pattern's permutation matrix inside a 0-1 matrix.
+    """Copies of the pattern's permutation matrix inside a 0-1 matrix:
+    ``matrix_copy_counts`` on a block of one, without its all-zero rows,
+    which can never host a 1."""
+    rows = [b for b in row_bits if b]
+    return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
 
-    A copy is a pair (row k-subset, column k-subset) whose induced
-    positions hold a 1 wherever the pattern matrix does.  Per row
-    subset, the column subsets are counted by a prefix-sum sweep over
-    columns instead of enumerating them one by one.
-    """
-    k = len(pi)
-    if k == 0:
-        return 1
-    rows = [b for b in row_bits if b]  # all-zero rows can never host a 1
-    if k > len(rows) or k > ncols:
-        return 0
-    order = _value_order(pi)
-    nrows = len(rows)
-    sel = [0] * k
-    total = 0
 
-    def count_columns() -> int:
-        t0 = sel[order[0]]
-        f = [(t0 >> c) & 1 for c in range(ncols)]
-        for j in range(1, k):
-            tj = sel[order[j]]
-            g = [0] * ncols
-            run = 0
-            for c in range(ncols):
-                if (tj >> c) & 1:
-                    g[c] = run
-                run += f[c]
-            f = g
-        return sum(f)
+_SLAB = 1 << 16  # uint8 entries gathered per chunk of row subsets
+_TABLE = 1024  # row subsets kept in a cached table; more are streamed
 
-    def rec(depth: int, start: int) -> None:
-        nonlocal total
-        for x in range(start, nrows - (k - depth) + 1):
-            sel[depth] = rows[x]
-            if depth == k - 1:
-                total += count_columns()
-            else:
-                rec(depth + 1, x + 1)
 
-    rec(0, 0)
-    return total
+@lru_cache(maxsize=64)
+def _subset_table(nrows: int, order: tuple[int, ...]) -> np.ndarray:
+    """All row k-subsets of range(nrows) in lex order as a read-only
+    (k, S) array: row j lists the subset's row of pattern value j."""
+    table = np.array(list(combinations(range(nrows), len(order))), np.intp)
+    table = np.ascontiguousarray(table.reshape(-1, len(order))[:, order].T)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def _row_subsets(nrows: int, order: tuple[int, ...], size: int):
+    """Yield the row k-subsets of ``_subset_table`` in (k, <= size)
+    chunks, without building the table once it would pass ``_TABLE``."""
+    k = len(order)
+    if math.comb(nrows, k) <= _TABLE:
+        table = _subset_table(nrows, order)
+        for start in range(0, table.shape[1], size):
+            yield table[:, start:start + size]
+        return
+    subsets = combinations(range(nrows), k)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(subsets, size)), np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, k)[:, order].T
 
 
 def matrix_copy_counts(blk: np.ndarray, pi: tuple[int, ...]) -> list[int]:
     """Copies of the pattern's permutation matrix in each 0-1 matrix of
-    a (B, rows, cols) uint8 block: the column sweep of
-    ``count_matrix_copies``, run on every matrix of the block at once."""
+    a (B, rows, cols) uint8 block.
+
+    A copy is a pair (row k-subset, column k-subset) whose induced
+    positions hold a 1 wherever the pattern matrix does.  For each row
+    subset, taken in the pattern's value order, ``f[c]`` counts the
+    chains of 1s through its first j + 1 rows, in increasing columns,
+    that end in column c + j; a running sum over columns and a product
+    with the next row extend every chain at once.  The row subsets are
+    swept in chunks, each vectorised over its subsets and the block.
+    """
     size, nrows, ncols = blk.shape
     k = len(pi)
     if k == 0:
@@ -307,17 +318,20 @@ def matrix_copy_counts(blk: np.ndarray, pi: tuple[int, ...]) -> list[int]:
     order = _value_order(pi)
     # A partial sweep counts chains of at most k columns, so it is at
     # most C(cols, min(k, cols // 2)); each of the C(rows, k) row
-    # subsets adds at most C(cols, k).
+    # subsets adds at most C(cols, k).  Past 2^64 this is object: ints.
     dtype = np.min_scalar_type(math.comb(nrows, k) * math.comb(ncols, min(k, ncols // 2)))
+    width = ncols - k + 1  # row j of a chain sits in columns j .. j + width - 1
+    entries = np.ascontiguousarray(blk.transpose(2, 1, 0))  # (cols, rows, B)
     total = np.zeros(size, dtype)
-    for sel in combinations(range(nrows), k):
-        f = blk[:, sel[order[0]]].astype(dtype)
+    chunk = max(1, _SLAB // (max(size, 1) * k * ncols))  # row subsets per slab
+    for sel in _row_subsets(nrows, order, chunk):
+        slab = entries.take(sel, axis=1)  # (cols, k, subsets, B)
+        f = slab[:width, 0].astype(dtype)
         for j in range(1, k):
-            g = np.zeros_like(f)  # g[c]: chains ending left of column c, where row j has a 1
-            np.cumsum(f[:, :-1], axis=1, dtype=dtype, out=g[:, 1:])
-            g *= blk[:, sel[order[j]]]
-            f = g
-        total += f.sum(axis=1, dtype=dtype)
+            for c in range(1, width):
+                f[c] += f[c - 1]
+            f *= slab[j:j + width, j]
+        total += f.sum(axis=(0, 1), dtype=dtype)
     return total.tolist()
 
 

@@ -17,7 +17,9 @@ environment variables:
                               hypergraph sampling, samples *
                               C(n,k) * k for sigma sampling,
                               trials * C(r,k) * k * r for
-                              submatrix sampling, states *
+                              submatrix sampling, C(rows,k) *
+                              k * cols for the exact copy
+                              density of a matrix, states *
                               2^n for the max-ones
                               row-transfer search              (default 5e9)
 """

@@ -11,6 +11,7 @@ matrix leaves 15 choices for its 2x2 block, each 0 forces zeros).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .matrices import BinaryMatrix
@@ -28,22 +29,15 @@ def contract2(m: BinaryMatrix) -> BinaryMatrix:
         raise DimensionMismatchError(f"need a square matrix, got {m.rows}x{m.cols}")
     if m.rows % 2:
         raise DimensionMismatchError(f"need an even side for 2x2 blocks, got {m.rows}")
-    half = m.rows // 2
-    bits = []
-    for i in range(half):
-        merged = m.row_bits[2 * i] | m.row_bits[2 * i + 1]
-        mask = 0
-        for j in range(half):
-            if merged & (0b11 << (2 * j)):
-                mask |= 1 << j
-        bits.append(mask)
-    return BinaryMatrix(half, half, tuple(bits))
+    return contract_b(m, 2)
 
 
-def _group(index: int, b: Fraction) -> int:
-    """1-based group of 1-based row/column ``index``: ceil(index / b),
-    computed exactly as ceil(index * q / p) in integers."""
-    return -((-index * b.denominator) // b.numerator)
+@lru_cache(maxsize=256)
+def _group_map(n: int, b: Fraction) -> tuple[int, ...]:
+    """0-based group of each 0-based row/column index below n: 1-based
+    index i lands in group ceil(i / b), computed exactly as
+    ceil(i * q / p) in integers."""
+    return tuple(-((-i * b.denominator) // b.numerator) - 1 for i in range(1, n + 1))
 
 
 def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
@@ -60,19 +54,19 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
         raise ValueError(f"contraction factor must be >= 1, got {b}")
     if m.rows != m.cols:
         raise DimensionMismatchError(f"need a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    side = _group(n, b) if n else 0
-    bits = [0] * side
-    for i in range(1, n + 1):
-        gi = _group(i, b) - 1
-        src = m.row_bits[i - 1]
-        if not src:
-            continue
+    groups = _group_map(m.rows, b)
+    merged = [0] * (groups[-1] + 1 if groups else 0)
+    for g, src in zip(groups, m.row_bits):
+        merged[g] |= src
+    bits = []
+    for row in merged:
         mask = 0
-        for j in range(1, n + 1):
-            if (src >> (j - 1)) & 1:
-                mask |= 1 << (_group(j, b) - 1)
-        bits[gi] |= mask
+        while row:
+            low = row & -row
+            mask |= 1 << groups[low.bit_length() - 1]
+            row ^= low
+        bits.append(mask)
+    side = len(bits)
     return BinaryMatrix(side, side, tuple(bits))
 
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations as _lex_permutations, product
+from itertools import chain, combinations, islice
 from typing import Iterator
 
-from . import kernels
+import numpy as np
+
+from . import kernels, rngutil
 from .config import LIMITS, check_ceiling, check_enum_cap, check_matrix_cap
 from .errors import DimensionMismatchError
 from .matrices import BinaryMatrix, count_matrix_copies
@@ -212,8 +214,11 @@ def min_copies_brute(
     """Exact minimum of the copy count over all n x n matrices with
     exactly ``a`` ones, by enumerating the C(n*n, a) supports.
 
-    Gated by the matrix cap.  The witness is the lexicographically
-    first minimizing support.
+    Gated by the matrix cap, before any allocation.  The supports are
+    counted in blocks of ``rngutil.BLOCK`` by
+    ``kernels.matrix_copy_counts``, and the search stops after the
+    first block that holds a support with no copy.  The witness is the
+    lexicographically first minimizing support.
     """
     p = as_permutation(pi)
     if n < 1:
@@ -221,27 +226,32 @@ def min_copies_brute(
     if not 0 <= a <= n * n:
         raise ValueError(f"ones count {a} outside 0..{n * n}")
     check_matrix_cap(n, cap)
-    pi0 = p.zero_based
     k = len(p)
     best = None
-    best_rows: tuple[int, ...] = ()
-    for support in combinations(range(n * n), a):
-        rows = [0] * n
-        for cell in support:
-            rows[cell // n] |= 1 << (cell % n)
-        copies = kernels.count_matrix_copies(tuple(rows), n, pi0)
-        if best is None or copies < best:
-            best = copies
-            best_rows = tuple(rows)
-            if best == 0:
-                break  # the global minimum; keep the first witness
+    supports = combinations(range(n * n), a)
+    total = math.comb(n * n, a)
+    for start in range(0, total, rngutil.BLOCK):
+        size = min(rngutil.BLOCK, total - start)
+        flat = chain.from_iterable(islice(supports, size))
+        cells = np.fromiter(flat, np.intp, size * a).reshape(size, a)
+        blk = np.zeros((size, n * n), np.uint8)
+        np.put_along_axis(blk, cells, 1, axis=1)
+        copies = kernels.matrix_copy_counts(blk.reshape(size, n, n), p.zero_based)
+        low = min(copies)
+        if best is None or low < best:
+            best, witness = low, cells[copies.index(low)].tolist()
+        if best == 0:
+            break  # the global minimum; keep the first witness
+    rows = [0] * n
+    for cell in witness:
+        rows[cell // n] |= 1 << (cell % n)
     bound = Fraction(a ** (2 * k - 1), n ** (2 * k - 2)) if k >= 1 else Fraction(0)
     return MinCopiesReport(
         n=n,
         a=a,
         pattern=p,
         min_copies=best,
-        witness=BinaryMatrix(n, n, best_rows),
+        witness=BinaryMatrix(n, n, tuple(rows)),
         reference_bound=bound,
         method="exhaustive",
     )
@@ -267,6 +277,24 @@ def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
     block = (1 << side) - 1
     bits = tuple(block << (side * (i // side)) for i in range(n))
     return BinaryMatrix(n, n, bits)
+
+
+def _divmod(rank: np.ndarray, radix: int):
+    """np.divmod(rank, radix) for int64 ranks; a radix past int64 leaves
+    every rank whole, as the largest int64 divisor does."""
+    return np.divmod(rank, min(radix, np.iinfo(np.int64).max))
+
+
+def _lex_unrank(rank: np.ndarray, m: int, dtype) -> np.ndarray:
+    """Row i: the permutation of range(m) of lex rank rank[i], built
+    from the factorial-base digits of the rank."""
+    left = np.tile(np.arange(m, dtype=dtype), (len(rank), 1))  # unplaced values, ascending
+    out = np.empty((len(rank), m), dtype)
+    for i in range(m):
+        digit, rank = _divmod(rank, math.factorial(m - 1 - i))
+        out[:, i] = np.take_along_axis(left, digit[:, None], axis=1)[:, 0]
+        left = left[np.arange(m - i) != digit[:, None]].reshape(len(rank), m - 1 - i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,12 +323,28 @@ class SnaFamily:
             blocks.append(range(self.q * self.a + 1, self.n + 1))
         return blocks
 
+    def member_blocks(self, cap: int | None = None) -> Iterator[np.ndarray]:
+        """All members in lexicographic order, as (B, n) blocks of
+        0-based values (uint8 up to n = 255) with B <= ``rngutil.BLOCK``,
+        gated by the enumeration cap.  Member number t is read off the
+        mixed-radix digits of t, one lex rank per run, the last run
+        fastest."""
+        check_enum_cap(self.n, cap)
+        runs = self._block_ranges()
+        dtype = np.min_scalar_type(self.n)  # holds the 1-based values too
+        for start in range(0, self.size, rngutil.BLOCK):
+            rank = np.arange(start, min(start + rngutil.BLOCK, self.size))
+            parts = []
+            for run in reversed(runs):
+                rank, digit = _divmod(rank, math.factorial(len(run)))
+                parts.append(_lex_unrank(digit, len(run), dtype) + (run.start - 1))
+            yield np.concatenate(parts[::-1], axis=1)
+
     def members(self, cap: int | None = None) -> Iterator[Permutation]:
         """All members in lexicographic order (gated by the enumeration cap)."""
-        check_enum_cap(self.n, cap)
-        per_block = [_lex_permutations(b) for b in self._block_ranges()]
-        for combo in product(*per_block):
-            yield Permutation(tuple(chain.from_iterable(combo)))
+        for blk in self.member_blocks(cap):
+            for values in (blk + 1).tolist():
+                yield Permutation(tuple(values))
 
     def contains_member(self, sigma: PermLike) -> bool:
         s = as_permutation(sigma)
@@ -360,7 +404,8 @@ class SnaBudgetReport:
 def verify_sna_budget(
     n: int, a: int, pi: PermLike, cap: int | None = None
 ) -> SnaBudgetReport:
-    """Stream every family member and measure its copy count of pi.
+    """Stream every family member, in blocks of ``member_blocks``, and
+    measure its copy count of pi with ``kernels.occurrence_counts``.
 
     Requires pi(1) > pi(k): a pattern starting below its end could
     straddle two runs, and the budget argument breaks.  For the other
@@ -382,11 +427,9 @@ def verify_sna_budget(
     pi0 = p.zero_based
     max_observed = 0
     checked = 0
-    for member in family.members(cap):
-        c = kernels.count_occurrences(member.zero_based, pi0)
-        if c > max_observed:
-            max_observed = c
-        checked += 1
+    for blk in family.member_blocks(cap):
+        max_observed = max(max_observed, *kernels.occurrence_counts(blk, pi0))
+        checked += len(blk)
     if checked != family.size:
         raise RuntimeError(
             f"streamed {checked} members, expected {family.size}"

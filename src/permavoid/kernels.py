@@ -20,10 +20,15 @@ pure module.
 So are the block kernels, bound from the pure module on either backend:
 ``occurrence_counts`` tallies a (B, n) block of permutations and
 ``matrix_copy_counts`` counts copies in each matrix of a (B, rows, cols)
-block.  The Monte-Carlo estimators hand them the blocks of
+block, in numpy ints up to 2^64 and in Python ints past it.  The
+Monte-Carlo estimators hand them the blocks of
 ``rngutil.permutation_blocks`` and ``rngutil.subset_pair_blocks``,
 whose rows run in the order of the per-sample draws, so a seed gives
-the same tallies as one kernel call per sample would.
+the same tallies as one kernel call per sample would; ``min-copies``
+hands ``matrix_copy_counts`` its supports and ``sna`` hands
+``occurrence_counts`` its family members, a block at a time.  The pure
+``count_matrix_copies`` is ``matrix_copy_counts`` on one matrix, and
+``unpack_rows`` turns packed rows into the uint8 entries they take.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ BACKEND: str = _impl.BACKEND
 enumerate_occurrences = _kernels_py.enumerate_occurrences
 occurrence_counts = _kernels_py.occurrence_counts
 matrix_copy_counts = _kernels_py.matrix_copy_counts
+unpack_rows = _kernels_py.unpack_rows
 contains = _impl.contains
 copy_count_histogram = _impl.copy_count_histogram
 hits_edge = _impl.hits_edge

@@ -214,15 +214,22 @@ class DensityPair:
     pi_density: Fraction
 
 
-def densities(a: BinaryMatrix, pi: PermLike) -> DensityPair:
+def densities(
+    a: BinaryMatrix, pi: PermLike, cost_ceiling: int | None = None
+) -> DensityPair:
     """Both densities as exact rationals.
 
     The one-density is ones/(rows*cols); the copy density divides the
     copy count by C(rows,k)*C(cols,k).  Degenerate denominators give
-    density 0.
+    density 0.  The count sweeps cols columns for each of C(rows,k) row
+    subsets and k pattern rows, so C(rows,k) * k * cols is refused
+    above the cost ceiling before any count.
     """
     p = as_permutation(pi)
-    pairs = math.comb(a.rows, len(p)) * math.comb(a.cols, len(p))
+    k = len(p)
+    check_ceiling("cost_ceiling", math.comb(a.rows, k) * k * a.cols, cost_ceiling,
+                  LIMITS.mc_cost_ceiling)
+    pairs = math.comb(a.rows, k) * math.comb(a.cols, k)
     return DensityPair(
         one_density=_ratio(a.ones, a.rows * a.cols),
         pi_density=_ratio(count_matrix_copies(a, p), pairs),
@@ -232,14 +239,6 @@ def densities(a: BinaryMatrix, pi: PermLike) -> DensityPair:
 def _ratio(part: int, whole: int) -> Fraction:
     """part/whole exactly, and 0 for an empty whole."""
     return Fraction(part, whole) if whole else Fraction(0)
-
-
-def _entries(a: BinaryMatrix) -> np.ndarray:
-    """The entries of ``a`` as a (rows, cols) uint8 array."""
-    width = (a.cols + 7) // 8
-    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in a.row_bits),
-                           np.uint8).reshape(a.rows, width)
-    return np.unpackbits(packed, axis=1, count=a.cols, bitorder="little")
 
 
 def _check_sample_size(a: BinaryMatrix, r: int) -> None:
@@ -311,7 +310,7 @@ def sampling_estimates(
     check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
     rng = rngutil.generator(seed)
     outcomes = Counter()  # (ones, copies) of each r x r submatrix
-    entries = _entries(a)
+    entries = kernels.unpack_rows(a.row_bits, a.cols)
     for rows, cols in rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials):
         blk = entries[rows[:, :, None], cols[:, None, :]]  # (B, r, r) submatrices
         ones = blk.sum(axis=(1, 2)).tolist()

@@ -7,7 +7,7 @@ can be checked against code that shares nothing with them.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import ceil, comb
 
 
 def order_isomorphic(values, pattern):
@@ -145,17 +145,47 @@ def ex_identity(n, k):
 
 def min_copies_naive(n, a, pi):
     """Fewest copies over matrices of order n with exactly ``a`` ones."""
-    best = None
+    return min_copies_witness_naive(n, a, pi)[0]
+
+
+def min_copies_witness_naive(n, a, pi):
+    """(fewest copies, first grid reaching it) over the matrices of order
+    n with exactly ``a`` ones, their cells chosen as combinations of the
+    row-major cell numbers; the grid is a list of row lists."""
+    best, best_grid = None, None
     for cells in combinations(range(n * n), a):
         grid = [[0] * n for _ in range(n)]
         for c in cells:
             grid[c // n][c % n] = 1
         copies = matrix_copies_naive(grid, pi)
         if best is None or copies < best:
-            best = copies
+            best, best_grid = copies, grid
             if best == 0:
                 break
-    return best
+    return best, best_grid
+
+
+def contract_b_naive(grid, b):
+    """Square grid OR-ed into cell (ceil(i/b), ceil(j/b)) from each 1-based
+    cell (i, j), for a Fraction b >= 1."""
+    n = len(grid)
+    side = ceil(n / b)
+    out = [[0] * side for _ in range(side)]
+    for i in range(n):
+        for j in range(n):
+            if grid[i][j]:
+                out[ceil((i + 1) / b) - 1][ceil((j + 1) / b) - 1] = 1
+    return out
+
+
+def sna_members_naive(n, a):
+    """Permutations of 1..n, in lex order, whose positions split into runs
+    of length a (then the remainder), each run holding its own value range."""
+    starts = range(0, n, a)
+    return [
+        sigma for sigma in permutations(range(1, n + 1))
+        if all(sorted(sigma[s:s + a]) == list(range(s + 1, min(s + a, n) + 1)) for s in starts)
+    ]
 
 
 def independent_count_naive(n_vertices, edges, size):

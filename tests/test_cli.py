@@ -411,6 +411,14 @@ GOLDEN_DIGESTS = [
     # k > n: the full matrix holds no copy.
     (["max-ones", "--n", "2", "--pi", "1,2,3", "--mode", "search"],
      "a960ce6ad94a3077b74c5279d352c180634c1de1d90ae10cf79508b77220f850"),
+    # The supersaturation floor and its first minimising witness.
+    (["min-copies", "--n", "4", "--pi", "1,2", "--a-grid", "5,6,7,8,9,10"],
+     "59ad7e4206e0982fdec0a85f438ddbbb110b86a55038245910bbe313d1ab85d1"),
+    (["min-copies", "--n", "3", "--pi", "1,3,2", "--a-grid", "0,1,2,3,4,5,6,7,8,9"],
+     "45bee4270b5a0aedcfd50e7d82a09f9b7332322fa8d981a09aab5864840a1c46"),
+    (["min-copies", "--n", "3", "--pi", "1,3,2", "--a-grid", "0,1,2,3,4,5,6,7,8,9",
+      "--format", "csv"],
+     "15c2f5c3fe673eaa7d70cf1ce4bdb67cec36b793a7d3d043c934d715a7a95cd8"),
 ]
 
 
@@ -419,7 +427,8 @@ GOLDEN_DIGESTS = [
     "expect-grid-json", "expect-grid-csv", "expect-mc-sigma-alpha-0",
     "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample",
     "max-ones-123-n5", "max-ones-321-n5", "max-ones-12-n6", "max-ones-12-n4",
-    "max-ones-132-n5", "max-ones-1-n1", "max-ones-123-n2"])
+    "max-ones-132-n5", "max-ones-1-n1", "max-ones-123-n2", "min-copies-12-n4",
+    "min-copies-132-n3-json", "min-copies-132-n3-csv"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     matrix = tmp_path / "m.txt"
     matrix.write_text(GOLDEN_MATRIX)
@@ -564,6 +573,21 @@ def test_sample_density_cost_is_gated(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _, _ = run_cli(capsys, *density, "--r", "3", "--trials", "0")
     assert code == 2
+
+
+def test_sample_density_exact_pass_is_gated(capsys, tmp_path):
+    # The exact density sweeps C(60,5) * 5 * 60 = 1.6e9 row-subset
+    # columns; a ceiling of 10 refuses it before any count.
+    rng = rngutil.generator(60)
+    src = tmp_path / "m.txt"
+    src.write_text(BinaryMatrix.from_rows(rng.integers(0, 2, (60, 60)).tolist()).to_text())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sample-density", "--from-file", str(src),
+                             "--pi", "1,3,2,4,5", "--r", "2", "--trials", "1",
+                             "--cost-ceiling", "10")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "requested 1638453600" in err
 
 
 def test_version_flag(capsys):

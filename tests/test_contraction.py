@@ -64,6 +64,19 @@ def test_contract_b_group_boundaries():
     assert big == BinaryMatrix.filled(2, 2)
 
 
+@pytest.mark.parametrize("b", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2),
+                               Fraction(5, 2), Fraction(7, 3)], ids=str)
+def test_contract_b_matches_group_or_oracle(b):
+    # Two matrices per side: the second call reads the cached group map.
+    rng = random.Random(55)
+    for n in range(10):
+        for _ in range(2):
+            m = random_square(rng, n, rng.random())
+            out = contract_b(m, b)
+            assert out.to_lists() == oracles.contract_b_naive(m.to_lists(), b)
+            assert out.rows == out.cols == len(oracles.contract_b_naive(m.to_lists(), b))
+
+
 def test_contract_b_validation():
     with pytest.raises(ValueError):
         contract_b(BinaryMatrix.zeros(2, 2), Fraction(1, 2))

@@ -118,6 +118,25 @@ def test_min_copies_matches_oracle(pattern):
             assert count_matrix_copies(rep.witness, pattern) == rep.min_copies
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_min_copies_witness_is_first_minimum(n):
+    # Supports run through blocks of up to rngutil.BLOCK; C(9, 4) = 126
+    # of them fit in one, so the oracle checks the first-minimum rule.
+    for k in (1, 2, 3):
+        for pattern in itertools.permutations(range(1, k + 1)):
+            for a in range(n * n + 1):
+                rep = min_copies_brute(n, a, pattern)
+                best, grid = oracles.min_copies_witness_naive(n, a, pattern)
+                assert (rep.min_copies, rep.witness.to_lists()) == (best, grid)
+
+
+def test_min_copies_witness_across_block_boundaries():
+    # C(16, 8) = 12870 supports: the first minimum lies past the first block.
+    rep = min_copies_brute(4, 8, (1, 2))
+    best, grid = oracles.min_copies_witness_naive(4, 8, (1, 2))
+    assert (rep.min_copies, rep.witness.to_lists()) == (best, grid)
+
+
 def test_min_copies_validation():
     with pytest.raises(ValueError):
         min_copies_brute(2, 5, (1, 2))
@@ -187,6 +206,23 @@ def test_sna_family_size_formula():
             q, r = divmod(n, a)
             assert fam.size == math.factorial(a) ** q * math.factorial(r)
             assert sum(1 for _ in fam.members()) == fam.size
+
+
+@pytest.mark.parametrize("n,a", [(8, 7), (8, 3), (7, 2), (6, 6), (5, 1)])
+def test_sna_members_and_budget_match_oracle(n, a):
+    # (8, 7) has 7! = 5040 members, more than one block of rngutil.BLOCK.
+    fam = sna_family(n, a)
+    want = oracles.sna_members_naive(n, a)
+    assert [p.values for p in fam.members()] == want
+    for pattern in [(2, 1), (3, 2, 1), (3, 1, 2)]:
+        rep = verify_sna_budget(n, a, pattern)
+        assert rep.max_observed == max(oracles.count_naive(s, pattern) for s in want)
+
+
+def test_sna_members_keep_values_past_one_byte():
+    # Values 1..256 reach past a uint8 block of 0-based values plus one.
+    for n in (255, 256, 257):
+        assert [p.values for p in sna_family(n, 1).members(cap=n)] == [tuple(range(1, n + 1))]
 
 
 def test_sna_family_validation():

@@ -151,6 +151,34 @@ def test_matrices_wider_than_a_word_get_exact_answers():
     assert count_matrix_copies(corner, (1, 2)) == 1
 
 
+def test_matrix_copies_past_64_bits_are_exact():
+    # C(1000, 10) is about 2.6e23, so the sweep counts in Python ints.
+    got = count_matrix_copies(BinaryMatrix.filled(10, 1000), (3, 1, 4, 10, 5, 9, 2, 6, 8, 7))
+    assert got == math.comb(1000, 10)
+    assert type(got) is int
+
+
+@pytest.mark.parametrize("slab,table", [(pure._SLAB, pure._TABLE), (64, 4)],
+                         ids=["default", "small-chunks"])
+def test_matrix_copies_match_oracle_on_edge_shapes(monkeypatch, slab, table):
+    # Small slabs split the row subsets into many chunks, and a small
+    # table streams them from itertools instead of the cached table.
+    monkeypatch.setattr(pure, "_SLAB", slab)
+    monkeypatch.setattr(pure, "_TABLE", table)
+    rng = random.Random(707)
+    for rows, cols in [(0, 0), (3, 0), (0, 3), (1, 1), (4, 4), (6, 5), (5, 6), (8, 8),
+                       (2, 70), (3, 67)]:
+        for density in (0.0, 0.3, 0.7, 1.0):
+            grid = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1:
+                grid[rng.randrange(rows)] = [0] * cols  # an all-zero row
+            row_bits = [sum(cell << j for j, cell in enumerate(row)) for row in grid]
+            for pi in [()] + zero_based_patterns():
+                got = pure.count_matrix_copies(row_bits, cols, pi)
+                assert got == oracles.matrix_copies_naive(grid, one_based(pi))
+                assert type(got) is int
+
+
 # Lengths 1 to 4.  S_n streams through blocks of at most 7! permutations,
 # so n <= 7 is one block and n = 8, 9 cross block boundaries.
 SWEEP_PATTERNS = [(0,), (1, 0), (0, 2, 1), (1, 2, 0), (1, 3, 0, 2), (0, 1, 3, 2)]
