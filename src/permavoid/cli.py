@@ -36,7 +36,14 @@ from .hypergraphs import (
     random_uniform_hypergraph,
     validate_clique_cover,
 )
-from .matrices import BinaryMatrix, count_matrix_copies, densities, sampling_estimates
+from .matrices import (
+    BinaryMatrix,
+    check_densities,
+    check_sampling,
+    count_matrix_copies,
+    densities,
+    sampling_estimates,
+)
 from .perms import (
     Permutation,
     copy_count_distribution,
@@ -441,6 +448,10 @@ def _cmd_independents(args):
 
 def _cmd_sample_density(args):
     m = _load_matrix(args.from_file)
+    # Both passes are refused before either runs: trials and r (exit 2),
+    # then the sampling and the exact cost (exit 3).
+    check_sampling(m, args.pi, args.r, args.trials, args.cost_ceiling)
+    check_densities(m, args.pi, args.cost_ceiling)
     rep = sampling_estimates(m, args.pi, args.r, args.trials, args.seed,
                              cost_ceiling=args.cost_ceiling)
     exact = densities(m, args.pi, cost_ceiling=args.cost_ceiling)

@@ -221,19 +221,24 @@ def densities(
 
     The one-density is ones/(rows*cols); the copy density divides the
     copy count by C(rows,k)*C(cols,k).  Degenerate denominators give
-    density 0.  The count sweeps cols columns for each of C(rows,k) row
-    subsets and k pattern rows, so C(rows,k) * k * cols is refused
-    above the cost ceiling before any count.
+    density 0.  Gated by :func:`check_densities` before any count.
     """
     p = as_permutation(pi)
+    check_densities(a, p, cost_ceiling)
     k = len(p)
-    check_ceiling("cost_ceiling", math.comb(a.rows, k) * k * a.cols, cost_ceiling,
-                  LIMITS.mc_cost_ceiling)
     pairs = math.comb(a.rows, k) * math.comb(a.cols, k)
     return DensityPair(
         one_density=_ratio(a.ones, a.rows * a.cols),
         pi_density=_ratio(count_matrix_copies(a, p), pairs),
     )
+
+
+def check_densities(a: BinaryMatrix, pi: PermLike, cost_ceiling: int | None = None) -> None:
+    """Refuse :func:`densities` above the cost ceiling: its count sweeps
+    cols columns for each of C(rows,k) row subsets and k pattern rows."""
+    k = len(as_permutation(pi))
+    check_ceiling("cost_ceiling", math.comb(a.rows, k) * k * a.cols, cost_ceiling,
+                  LIMITS.mc_cost_ceiling)
 
 
 def _ratio(part: int, whole: int) -> Fraction:
@@ -268,6 +273,20 @@ def random_submatrix(
     return BinaryMatrix(r, r, bits)
 
 
+def check_sampling(
+    a: BinaryMatrix, pi: PermLike, r: int, trials: int, cost_ceiling: int | None = None
+) -> None:
+    """Refuse :func:`sampling_estimates` for bad trials or r, then above
+    the cost ceiling: each trial sweeps r columns for each of C(r,k) row
+    subsets and k pattern rows, so its work is trials * C(r,k) * k * r."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_sample_size(a, r)
+    k = len(as_permutation(pi))
+    cost = trials * max(1, math.comb(r, k)) * max(1, k) * max(1, r)
+    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+
+
 @dataclass(frozen=True)
 class SamplingReport:
     """Sample means of 1(R) and pi(R) over random r x r submatrices.
@@ -297,17 +316,10 @@ def sampling_estimates(
 ) -> SamplingReport:
     """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices.
 
-    Each trial sweeps r columns for each of C(r,k) row subsets and k
-    pattern rows, so the projected work trials * C(r,k) * k * r is
-    refused above the cost ceiling before any draw.
+    Gated by :func:`check_sampling` before any draw.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     p = as_permutation(pi)
-    _check_sample_size(a, r)
-    k = len(p)
-    cost = trials * max(1, math.comb(r, k)) * max(1, k) * max(1, r)
-    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    check_sampling(a, p, r, trials, cost_ceiling)
     rng = rngutil.generator(seed)
     outcomes = Counter()  # (ones, copies) of each r x r submatrix
     entries = kernels.unpack_rows(a.row_bits, a.cols)

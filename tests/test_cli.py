@@ -575,19 +575,25 @@ def test_sample_density_cost_is_gated(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_sample_density_exact_pass_is_gated(capsys, tmp_path):
+def test_sample_density_exact_pass_is_gated(capsys, monkeypatch, tmp_path):
     # The exact density sweeps C(60,5) * 5 * 60 = 1.6e9 row-subset
-    # columns; a ceiling of 10 refuses it before any count.
+    # columns; a ceiling of 10 refuses it before any count, and before
+    # any draw, though the sampling cost 1 * 1 * 5 * 2 = 10 is admitted.
     rng = rngutil.generator(60)
     src = tmp_path / "m.txt"
     src.write_text(BinaryMatrix.from_rows(rng.integers(0, 2, (60, 60)).tolist()).to_text())
+    _no_sampling(monkeypatch)
+    density = ["sample-density", "--from-file", str(src), "--pi", "1,3,2,4,5"]
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "sample-density", "--from-file", str(src),
-                             "--pi", "1,3,2,4,5", "--r", "2", "--trials", "1",
+    code, out, err = run_cli(capsys, *density, "--r", "2", "--trials", "1",
                              "--cost-ceiling", "10")
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "requested 1638453600" in err
+    # r is checked before the exact cost.
+    code, _, _ = run_cli(capsys, *density, "--r", "61", "--trials", "1",
+                         "--cost-ceiling", "10")
+    assert code == 2
 
 
 def test_version_flag(capsys):

@@ -225,6 +225,19 @@ def test_sna_members_keep_values_past_one_byte():
         assert [p.values for p in sna_family(n, 1).members(cap=n)] == [tuple(range(1, n + 1))]
 
 
+def test_sna_members_with_runs_past_int64_radix():
+    # 21! > 2^63: a run of 21 takes its digit whole from an int64 rank.
+    # The first members of one run of 21 are the first permutations of it;
+    # with a remainder of 2 they step the remainder fastest.
+    first = list(itertools.islice(itertools.permutations(range(1, 22)), 5))
+    members = sna_family(21, 21).members(cap=21)
+    assert [p.values for p in itertools.islice(members, 5)] == first
+    tails = list(itertools.permutations((22, 23)))
+    want = [head + tail for head in first[:3] for tail in tails][:5]
+    members = sna_family(23, 21).members(cap=23)
+    assert [p.values for p in itertools.islice(members, 5)] == want
+
+
 def test_sna_family_validation():
     with pytest.raises(ValueError):
         sna_family(3, 4)
