@@ -4,9 +4,9 @@ Permutation patterns, 0-1 matrix containment, avoidance restricted to
 hypergraph edge sets, block contractions, extremal searches, and the
 grid-hypergraph formulation — all exact, seeded, and desk-scale.
 
-The counting kernels exist twice: a compiled extension and a pure
-Python twin with identical semantics.  ``permavoid.kernels.BACKEND``
-says which one is live; the compiled one is used whenever it was built.
+The counting kernels are Python and numpy, except that a C extension,
+when it was built, counts the copies in one small matrix.
+``permavoid.kernels.BACKEND`` says whether it is live.
 """
 
 from .avoidance import (

@@ -1,21 +1,21 @@
-"""Pure-Python kernels: the reference twin of permavoid._speedups.
+"""The counting kernels, in Python and numpy.
 
-Every public function here but ``enumerate_occurrences`` and the two
-block kernels has an identical-signature compiled counterpart;
-``permavoid.kernels`` picks whichever is importable.  Keep the two in
-lockstep — tests/test_kernels.py asserts they agree on randomized
-inputs.
+``permavoid.kernels`` binds every kernel from here.  The one exception
+is ``count_matrix_copies`` when the C extension ``permavoid._speedups``
+was built: the C kernel then counts matrices within its 64-bit limits,
+and this one stays its reference, which tests/test_kernels.py compares
+it against on randomized inputs.
 
 The two full S_n passes (``copy_count_histogram``, ``count_avoiders``)
 are numpy sweeps over lexicographic blocks of up to 7! permutations.
 The block kernels (``occurrence_counts``, ``matrix_copy_counts``)
-count a whole block of permutations or matrices per call, on either
-backend.  ``count_matrix_copies`` is ``matrix_copy_counts`` on a block
-of one matrix, so every matrix copy count is a numpy sweep over chunks
+count a whole block of permutations or matrices per call.
+``count_matrix_copies`` is ``matrix_copy_counts`` on a block of one
+matrix, so every matrix copy count here is a numpy sweep over chunks
 of row subsets.  The kernels that look at one permutation, and
 ``matrix_contains_perm``, are plain Python.
 
-Conventions shared by both backends:
+Conventions:
 
   * permutations and patterns arrive as 0-based value tuples;
   * hypergraph edges arrive as sorted tuples of 0-based indices;
@@ -347,8 +347,8 @@ def matrix_contains_perm(
     """True iff the matrix contains the pattern's permutation matrix.
 
     Per row k-subset, ``reach`` holds the columns where an increasing
-    chain through the rows in value order can end, as in the compiled
-    twin; Python ints make it exact at any width.
+    chain through the rows in value order can end; Python ints make it
+    exact at any width.
     """
     k = len(pi)
     if k == 0:

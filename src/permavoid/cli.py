@@ -504,7 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--subset-ceiling", type=int, metavar="N",
                         help="override the independent-set subset ceiling")
     common.add_argument("--cost-ceiling", type=int, metavar="N",
-                        help="override the Monte-Carlo cost ceiling")
+                        help="override the work ceiling of the Monte-Carlo "
+                        "estimators, the max-ones search and the exact pass of "
+                        "sample-density")
 
     def cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -590,7 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=_pattern_arg, required=True, metavar="PERM")
     p.add_argument("--mode", choices=("exhaustive", "search"), default="exhaustive",
                    help="exhaustive sweeps 2^(n*n) matrices (capped); search is "
-                   "branch-and-bound, still optimal but time depends on the input")
+                   "an exact dynamic program over rows, whose work grows as 2^n "
+                   "per state (capped by --enum-cap and --cost-ceiling)")
 
     p = cmd("sna", _cmd_sna, "block-permutation family: size, members, copy budget")
     p.add_argument("--n", type=int, required=True)

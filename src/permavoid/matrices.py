@@ -81,6 +81,7 @@ class BinaryMatrix:
                 raise ValueError(f"row {i} has length {len(row)}, expected {cols}")
             mask = 0
             for j, e in enumerate(row):
+                e = as_int(e, f"entry ({i},{j + 1})")
                 if e not in (0, 1):
                     raise ValueError(f"entry ({i},{j + 1}) is {e!r}, not 0/1")
                 mask |= e << j
@@ -321,18 +322,18 @@ def sampling_estimates(
     p = as_permutation(pi)
     check_sampling(a, p, r, trials, cost_ceiling)
     rng = rngutil.generator(seed)
-    outcomes = Counter()  # (ones, copies) of each r x r submatrix
+    ones_tally, copies_tally = Counter(), Counter()  # over the r x r submatrices
     entries = kernels.unpack_rows(a.row_bits, a.cols)
     for rows, cols in rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials):
         blk = entries[rows[:, :, None], cols[:, None, :]]  # (B, r, r) submatrices
-        ones = blk.sum(axis=(1, 2)).tolist()
-        outcomes.update(zip(ones, kernels.matrix_copy_counts(blk, p.zero_based)))
+        ones_tally.update(blk.sum(axis=(1, 2)).tolist())
+        copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
     pairs = math.comb(r, len(p)) ** 2
     one_mean, one_se = rngutil.mean_and_se(
-        (_ratio(ones, r * r), m) for (ones, _), m in outcomes.items()
+        (_ratio(ones, r * r), m) for ones, m in ones_tally.items()
     )
     pi_mean, pi_se = rngutil.mean_and_se(
-        (_ratio(copies, pairs), m) for (_, copies), m in outcomes.items()
+        (_ratio(copies, pairs), m) for copies, m in copies_tally.items()
     )
     return SamplingReport(
         r=r,

@@ -1,17 +1,24 @@
-"""The compiled kernels and their pure-Python twins must be
-indistinguishable; these tests drive both through the same randomized
-inputs.  When the extension is absent everything still passes — the
-chooser already fell back — but the cross-checks are skipped.
+"""The kernels against oracles, and the C ``count_matrix_copies``
+against the pure one: that test builds ``_speedups.c`` itself and skips
+only without a C compiler or the CPython headers.
 """
 
+import importlib.util
 import math
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permavoid
 from permavoid import (
     BinaryMatrix,
     _kernels_py as pure,
@@ -21,10 +28,6 @@ from permavoid import (
 )
 
 import oracles
-
-compiled_only = pytest.mark.skipif(
-    kernels.BACKEND != "compiled", reason="compiled extension not loaded"
-)
 
 
 def random_sigma(rng, n):
@@ -42,58 +45,64 @@ def test_backend_is_reported():
     assert pure.BACKEND == "python"
 
 
-@compiled_only
-def test_containment_kernels_agree():
-    rng = random.Random(101)
-    for _ in range(120):
-        n = rng.randrange(0, 10)
-        sigma = random_sigma(rng, n)
-        for pi in zero_based_patterns():
-            assert kernels.contains(sigma, pi) == pure.contains(sigma, pi)
-            assert kernels.count_occurrences(sigma, pi) == \
-                pure.count_occurrences(sigma, pi)
+@pytest.fixture
+def compiled_kernels(tmp_path, monkeypatch):
+    """``kernels`` reloaded over ``_speedups.c`` built into tmp_path, so
+    that its guard runs; afterwards ``kernels`` is reloaded as it was."""
+    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not link or shutil.which(link[0]) is None:
+        pytest.skip("no C compiler")
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").is_file():
+        pytest.skip("no Python.h")
+    source = Path(kernels.__file__).with_name("_speedups.c")
+    target = tmp_path / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # One compile-and-link step, as the interpreter links its own extensions.
+    build = subprocess.run(
+        [*link, *shlex.split(sysconfig.get_config_var("CCSHARED") or ""), "-O2",
+         f"-I{include}", str(source), "-o", str(target)],
+        capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    # Record what undo restores before loading, since loading an
+    # extension module also enters it in sys.modules.
+    monkeypatch.setitem(sys.modules, "permavoid._speedups", None)
+    monkeypatch.setattr(permavoid, "_speedups", None, raising=False)
+    spec = importlib.util.spec_from_file_location("permavoid._speedups", target)
+    compiled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compiled)
+    sys.modules["permavoid._speedups"] = permavoid._speedups = compiled
+    try:
+        yield importlib.reload(kernels)
+    finally:
+        monkeypatch.undo()
+        importlib.reload(kernels)
 
 
-@compiled_only
-def test_histogram_kernels_agree():
-    for n in range(0, 7):
-        for pi in zero_based_patterns():
-            assert kernels.copy_count_histogram(n, pi) == \
-                pure.copy_count_histogram(n, pi)
-
-
-@compiled_only
-def test_edge_kernels_agree():
-    rng = random.Random(202)
-    for _ in range(60):
-        n = rng.randrange(1, 8)
-        k = rng.randrange(1, min(n, 4) + 1)
-        edges = [e for e in combinations(range(n), k) if rng.random() < 0.6]
-        pi = random_sigma(rng, k)
-        sigma = random_sigma(rng, n)
-        assert kernels.hits_edge(sigma, pi, edges) == \
-            pure.hits_edge(sigma, pi, edges)
-        assert kernels.count_edge_hits(sigma, pi, edges) == \
-            pure.count_edge_hits(sigma, pi, edges)
-        assert kernels.count_avoiders(n, pi, edges) == \
-            pure.count_avoiders(n, pi, edges)
-        assert kernels.count_avoiders(n, pi, None) == \
-            pure.count_avoiders(n, pi, None)
-
-
-@compiled_only
-def test_matrix_kernels_agree():
+def test_c_kernel_matches_pure_within_its_limits(compiled_kernels):
+    assert compiled_kernels.BACKEND == "compiled"
     rng = random.Random(303)
-    for _ in range(80):
-        rows = rng.randrange(0, 7)
-        cols = rng.randrange(0, 7)
-        grid = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        row_bits = [sum(cell << j for j, cell in enumerate(row)) for row in grid]
-        for pi in zero_based_patterns():
-            assert kernels.count_matrix_copies(row_bits, cols, pi) == \
-                pure.count_matrix_copies(row_bits, cols, pi)
-            assert kernels.matrix_contains_perm(row_bits, cols, pi) == \
-                pure.matrix_contains_perm(row_bits, cols, pi)
+    for _ in range(300):
+        rows = rng.randrange(0, 9)
+        cols = rng.randrange(0, 65)
+        density = rng.random()
+        row_bits = [sum((rng.random() < density) << j for j in range(cols))
+                    for _ in range(rows)]
+        for pi in [()] + zero_based_patterns():
+            got = compiled_kernels.count_matrix_copies(row_bits, cols, pi)
+            assert got == pure.count_matrix_copies(row_bits, cols, pi)
+            assert type(got) is int
+    # C(64, 32), under 2^62, stays in C: the widest partial chain counts.
+    full = BinaryMatrix.filled(32, 64)
+    assert count_matrix_copies(full, tuple(range(32, 0, -1))) == math.comb(64, 32)
+    # The C kernel refuses 65 columns, and 33 * C(64, 32) is past 2^64:
+    # the guard must send both to the pure kernel.
+    wide = BinaryMatrix.filled(4, 65)
+    with pytest.raises(ValueError):
+        permavoid._speedups.count_matrix_copies(wide.row_bits, 65, (1, 0))
+    assert count_matrix_copies(wide, (2, 1)) == math.comb(4, 2) * math.comb(65, 2)
+    got = count_matrix_copies(BinaryMatrix.filled(33, 64), tuple(range(1, 33)))
+    assert got == 33 * math.comb(64, 32)
+    assert type(got) is int
 
 
 def test_pure_kernels_match_oracles():
@@ -130,9 +139,7 @@ def test_avoider_collection_matches_count():
 
 
 def test_matrices_wider_than_a_word_get_exact_answers():
-    # The compiled kernel keeps a row in one 64-bit word; the guard in
-    # kernels must send a 65-column matrix to the pure twin.  Without
-    # the extension the pure twin is bound directly.
+    # Rows of 65 columns span two 64-bit words.
     rng = random.Random(505)
     grid = [[rng.randrange(2) for _ in range(65)] for _ in range(4)]
     m = BinaryMatrix.from_rows(grid)

@@ -40,6 +40,10 @@ def test_from_rows_rejects_non_binary_entries():
         BinaryMatrix.from_rows([[0, 1], [2, 0]])
     with pytest.raises(ValueError, match="length"):
         BinaryMatrix.from_rows([[0, 1], [1]])
+    # Bools and floats are refused, not read as 0/1.
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=r"entry \(1,1\) must be an integer"):
+            BinaryMatrix.from_rows([[bad, 0]])
 
 
 def test_text_round_trip():
