@@ -12,8 +12,9 @@ The block kernels (``occurrence_counts``, ``matrix_copy_counts``)
 count a whole block of permutations or matrices per call.
 ``count_matrix_copies`` is ``matrix_copy_counts`` on a block of one
 matrix, so every matrix copy count here is a numpy sweep over chunks
-of row subsets.  The kernels that look at one permutation, and
-``matrix_contains_perm``, are plain Python.
+of row subsets.  ``occurrences``, the one walk over the occurrences
+of a pattern in one permutation (all of them, or those on given
+edges), and ``matrix_contains_perm`` are plain Python.
 
 Conventions:
 
@@ -48,95 +49,58 @@ def _value_order(pi: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def contains(sigma: tuple[int, ...], pi: tuple[int, ...]) -> bool:
-    """True iff some index subsequence of sigma is order-isomorphic to pi."""
-    n, k = len(sigma), len(pi)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    vals = [0] * k
+@lru_cache(maxsize=256)
+def _neighbours(pi: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """For each depth d, the earlier positions t < d whose pattern values
+    lie nearest below and above pi[d], or k + 1 and k where there are
+    none: slots where ``occurrences`` keeps -1 and n."""
+    k = len(pi)
+    return tuple(
+        (max((t for t in range(d) if pi[t] < pi[d]), key=pi.__getitem__, default=k + 1),
+         min((t for t in range(d) if pi[t] > pi[d]), key=pi.__getitem__, default=k))
+        for d in range(k))
 
-    def extend(depth: int, start: int) -> bool:
-        for x in range(start, n - (k - depth) + 1):
-            v = sigma[x]
-            ok = True
-            for t in range(depth):
-                if (pi[t] < pi[depth]) != (vals[t] < v):
-                    ok = False
+
+def occurrences(sigma: tuple[int, ...], pi: tuple[int, ...], edges=None):
+    """Yield the index tuples of sigma that carry pi.
+
+    With ``edges=None`` every k-subset of positions is a candidate, and
+    the occurrences come in lexicographic order: a depth-first walk
+    that places pattern position d at some x and keeps only the values
+    between those of its nearest placed neighbours in pattern value.
+    Otherwise only the given edges are tested, and those that carry pi
+    come in the edges' order.  The empty pattern occurs once, as ();
+    a pattern longer than sigma never does.
+    """
+    if edges is not None:
+        order = _value_order(pi)
+        for e in edges:
+            prev = -1
+            for t in order:
+                v = sigma[e[t]]
+                if v <= prev:
                     break
-            if ok:
-                if depth == k - 1:
-                    return True
-                vals[depth] = v
-                if extend(depth + 1, x + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
-
-
-def count_occurrences(sigma: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    """Exact number of index subsequences of sigma order-isomorphic to pi."""
+                prev = v
+            else:
+                yield e
+        return
     n, k = len(sigma), len(pi)
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    vals = [0] * k
-    count = 0
-
-    def extend(depth: int, start: int) -> None:
-        nonlocal count
-        for x in range(start, n - (k - depth) + 1):
-            v = sigma[x]
-            ok = True
-            for t in range(depth):
-                if (pi[t] < pi[depth]) != (vals[t] < v):
-                    ok = False
-                    break
-            if ok:
-                if depth == k - 1:
-                    count += 1
-                else:
-                    vals[depth] = v
-                    extend(depth + 1, x + 1)
-
-    extend(0, 0)
-    return count
-
-
-def enumerate_occurrences(
-    sigma: tuple[int, ...], pi: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All occurrences as 0-based index tuples, lexicographic order."""
-    n, k = len(sigma), len(pi)
-    if k == 0:
-        return [()]
-    if k > n:
-        return []
-    vals = [0] * k
+    bounds = _neighbours(pi)
+    vals = [0] * k + [n, -1]
     idx = [0] * k
-    out: list[tuple[int, ...]] = []
 
-    def extend(depth: int, start: int) -> None:
-        for x in range(start, n - (k - depth) + 1):
+    def walk(d, start):
+        if d == k:
+            yield tuple(idx)
+            return
+        lo, hi = bounds[d]
+        for x in range(start, n - k + d + 1):
             v = sigma[x]
-            ok = True
-            for t in range(depth):
-                if (pi[t] < pi[depth]) != (vals[t] < v):
-                    ok = False
-                    break
-            if ok:
-                idx[depth] = x
-                if depth == k - 1:
-                    out.append(tuple(idx))
-                else:
-                    vals[depth] = v
-                    extend(depth + 1, x + 1)
+            if vals[lo] < v < vals[hi]:
+                idx[d], vals[d] = x, v
+                yield from walk(d + 1, x + 1)
 
-    extend(0, 0)
-    return out
+    yield from walk(0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -194,31 +158,6 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     for blk in _lex_blocks(n):
         hist.update(occurrence_counts(blk.T, pi))
     return hist
-
-
-def _edge_is_hit(sigma, edge, order) -> bool:
-    prev = -1
-    for t in order:
-        v = sigma[edge[t]]
-        if v <= prev:
-            return False
-        prev = v
-    return True
-
-
-def hits_edge(sigma, pi, edges) -> bool:
-    """True iff some edge's index set carries the pattern (k >= 1)."""
-    order = _value_order(pi)
-    for edge in edges:
-        if _edge_is_hit(sigma, edge, order):
-            return True
-    return False
-
-
-def count_edge_hits(sigma, pi, edges) -> int:
-    """Number of edges whose index set carries the pattern (k >= 1)."""
-    order = _value_order(pi)
-    return sum(1 for edge in edges if _edge_is_hit(sigma, edge, order))
 
 
 def count_avoiders(

@@ -33,28 +33,31 @@ from .perms import (
 )
 
 
-def lambda_contains(sigma: PermLike, pi: PermLike, lam: KUniformHypergraph) -> bool:
-    """True iff some occurrence of pi in sigma has an edge as its index set."""
+def _kernel_edges(lam: KUniformHypergraph | None):
+    """Λ's 0-based edges for the kernels, or None when every index set
+    is an edge (``lam`` complete, or None for the complete one): the
+    kernels then take all C(n,k) index sets without listing them."""
+    return None if lam is None or lam.is_complete() else lam.zero_based_edges()
+
+
+def _lambda_walk(sigma: PermLike, pi: PermLike, lam: KUniformHypergraph):
+    """The occurrences of pi in sigma whose index set is an edge of Λ."""
     s = as_permutation(sigma)
     p = as_permutation(pi)
     check_dims(lam.n, lam.k, len(s), len(p))
-    if not lam.edges:
-        return False
-    if lam.is_complete():
-        return kernels.contains(s.zero_based, p.zero_based)
-    return kernels.hits_edge(s.zero_based, p.zero_based, lam.zero_based_edges())
+    return kernels.occurrences(s.zero_based, p.zero_based, _kernel_edges(lam))
+
+
+def lambda_contains(sigma: PermLike, pi: PermLike, lam: KUniformHypergraph) -> bool:
+    """True iff some occurrence of pi in sigma has an edge as its index set."""
+    return next(_lambda_walk(sigma, pi, lam), None) is not None
 
 
 def count_lambda_occurrences(
     sigma: PermLike, pi: PermLike, lam: KUniformHypergraph
 ) -> int:
     """Number of occurrences of pi in sigma whose index set is an edge."""
-    s = as_permutation(sigma)
-    p = as_permutation(pi)
-    check_dims(lam.n, lam.k, len(s), len(p))
-    if not lam.edges:
-        return 0
-    return kernels.count_edge_hits(s.zero_based, p.zero_based, lam.zero_based_edges())
+    return sum(1 for _ in _lambda_walk(sigma, pi, lam))
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,7 @@ def enumerate_avoiders(
     else:
         check_dims(lam.n, lam.k, n, len(p))
         edge_count = lam.edge_count
-    # The complete hypergraph makes the edge condition vacuous, and the
-    # plain containment test short-circuits much earlier.
-    edges = None if lam is None or lam.is_complete() else lam.zero_based_edges()
-    count, raw = kernels.count_avoiders(n, p.zero_based, edges, collect)
+    count, raw = kernels.count_avoiders(n, p.zero_based, _kernel_edges(lam), collect)
     avoiders = None
     if collect:
         avoiders = tuple(Permutation(tuple(v + 1 for v in s)) for s in raw)

@@ -94,11 +94,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_matrix(path: str) -> BinaryMatrix:
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise ValueError(f"cannot read matrix file {path}: {exc}") from None
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _load_matrix(path: str) -> BinaryMatrix:
+    text = _read(path, "matrix")
     try:
         return BinaryMatrix.from_text(text)
     except ValueError as exc:
@@ -106,10 +110,7 @@ def _load_matrix(path: str) -> BinaryMatrix:
 
 
 def _load_hypergraph(path: str) -> KUniformHypergraph:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read hypergraph file {path}: {exc}") from None
+    text = _read(path, "hypergraph")
     try:
         if text.lstrip().startswith("{"):
             return KUniformHypergraph.from_json_dict(json.loads(text))
@@ -188,12 +189,12 @@ MIN_COPIES_FIELDS = [
 
 
 def _cmd_count(args):
-    c = count_occurrences(args.sigma, args.pi)
+    c = count_occurrences(args.sigma, args.pi, cost_ceiling=args.cost_ceiling)
     return {"sigma": args.sigma.to_text(), "pi": args.pi.to_text(), "count": c}
 
 
 def _cmd_occurrences(args):
-    occ = enumerate_occurrences(args.sigma, args.pi)
+    occ = enumerate_occurrences(args.sigma, args.pi, cost_ceiling=args.cost_ceiling)
     return {
         "sigma": args.sigma.to_text(),
         "pi": args.pi.to_text(),
@@ -283,10 +284,9 @@ def _cmd_lambda_star(args):
 
 def _cmd_clique_cover(args):
     lam = _load_hypergraph(args.lambda_file)
+    text = _read(args.cliques_file, "cliques")
     try:
-        raw = json.loads(Path(args.cliques_file).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read cliques file {args.cliques_file}: {exc}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.cliques_file}: {exc}") from None
     if not isinstance(raw, list):
@@ -504,9 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--subset-ceiling", type=int, metavar="N",
                         help="override the independent-set subset ceiling")
     common.add_argument("--cost-ceiling", type=int, metavar="N",
-                        help="override the work ceiling of the Monte-Carlo "
-                        "estimators, the max-ones search and the exact pass of "
-                        "sample-density")
+                        help="override the work ceiling of count, occurrences, "
+                        "the Monte-Carlo estimators, the max-ones search and the "
+                        "exact pass of sample-density")
 
     def cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -591,9 +591,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pi", type=_pattern_arg, required=True, metavar="PERM")
     p.add_argument("--mode", choices=("exhaustive", "search"), default="exhaustive",
-                   help="exhaustive sweeps 2^(n*n) matrices (capped); search is "
-                   "an exact dynamic program over rows, whose work grows as 2^n "
-                   "per state (capped by --enum-cap and --cost-ceiling)")
+                   help="both run one exact dynamic program over rows; exhaustive "
+                   "reports the optimum of least mask value (capped by "
+                   "--matrix-cap), search the lex-greatest optimum in row-major "
+                   "order, its work growing as 2^n per state (capped by "
+                   "--enum-cap and --cost-ceiling)")
 
     p = cmd("sna", _cmd_sna, "block-permutation family: size, members, copy budget")
     p.add_argument("--n", type=int, required=True)
@@ -657,17 +659,11 @@ def _write_manifest(path: str, args, argv: list[str], output: str, wall_ms: int)
     }
     # Strip the manifest flag from the stored argv: replaying it should
     # reproduce stdout without clobbering the manifest itself.
-    stored: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--manifest":
-            i += 2
-            continue
-        if argv[i].startswith("--manifest="):
-            i += 1
-            continue
-        stored.append(argv[i])
-        i += 1
+    stored, skip = [], False
+    for arg in argv:
+        if not (skip or arg == "--manifest" or arg.startswith("--manifest=")):
+            stored.append(arg)
+        skip = arg == "--manifest" and not skip  # its value comes next
     manifest = {
         "subcommand": args.subcommand,
         "argv": stored,

@@ -7,21 +7,23 @@ takes an explicit ``cap=``/``ceiling=`` argument) or process-wide via
 environment variables:
 
     PERMAVOID_ENUM_CAP        max n for full S_n passes        (default 12)
-    PERMAVOID_MATRIX_CAP      max n for exhaustive 0-1 matrix
-                              searches over all 2^(n*n) grids  (default 4)
+    PERMAVOID_MATRIX_CAP      max n for the exhaustive n x n
+                              matrix searches (min-copies and
+                              max-ones --mode exhaustive)      (default 4)
     PERMAVOID_EDGE_CEILING    max edge count when building the
                               grid pattern hypergraph          (default 500000)
     PERMAVOID_SUBSET_CEILING  max candidate-subset count for
                               exact independent-set counting   (default 5000000)
-    PERMAVOID_COST_CEILING    max samples * n! * C(n,k) * k for
-                              hypergraph sampling, samples *
-                              C(n,k) * k for sigma sampling,
-                              trials * C(r,k) * k * r for
-                              submatrix sampling, C(rows,k) *
-                              k * cols for the exact copy
-                              density of a matrix, states *
-                              2^n for the max-ones
-                              row-transfer search              (default 5e9)
+    PERMAVOID_COST_CEILING    max C(n,k) * k for the occurrences
+                              of one permutation, samples * n!
+                              * C(n,k) * k for hypergraph
+                              sampling, samples * C(n,k) * k
+                              for sigma sampling, trials *
+                              C(r,k) * k * r for submatrix
+                              sampling, C(rows,k) * k * cols
+                              for the exact copy density of a
+                              matrix, states * 2^n for the
+                              max-ones row-transfer search     (default 5e9)
 """
 
 from __future__ import annotations

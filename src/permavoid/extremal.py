@@ -4,8 +4,8 @@ Four small instruments around the same question — how many 1s force
 how many pattern copies:
 
   * ``max_ones_avoiding``: the exact extremal function ex(n, P) (most
-    ones in an n x n matrix with zero copies), by brute force or by a
-    dynamic program over rows;
+    ones in an n x n matrix with zero copies), by one dynamic program
+    over rows, with two choices of witness;
   * ``min_copies_brute``: the exact supersaturation floor (fewest
     copies over all matrices with a prescribed number of ones);
   * ``extremal_block_diagonal``: the diagonal-blocks construction
@@ -45,11 +45,6 @@ class MaxOnesReport:
     method: str
 
 
-def _mask_rows(mask: int, n: int) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    return tuple((mask >> (i * n)) & full for i in range(n))
-
-
 def max_ones_avoiding(
     n: int,
     pi: PermLike,
@@ -60,9 +55,10 @@ def max_ones_avoiding(
     """Maximum number of ones in an n x n 0-1 matrix with no copy of
     the pattern matrix of pi.
 
-    ``method="exhaustive"`` sweeps all 2^(n*n) matrices under the
-    matrix cap; its witness is the optimum of least mask value.
-    ``method="search"`` is an exact dynamic program over rows, under the
+    Both methods run one exact dynamic program over rows and differ in
+    the optimum they report.  ``method="exhaustive"`` is gated by the
+    matrix cap; its witness is the optimum of least mask value (cell
+    (i, j) is bit i*n + j).  ``method="search"`` is gated by the
     enumeration cap and ``cost_ceiling`` (2^n per state); its witness is
     the lex-greatest optimum in row-major cell order.
 
@@ -76,35 +72,31 @@ def max_ones_avoiding(
         raise ValueError(f"need n >= 1, got {n}")
     if method == "exhaustive":
         check_matrix_cap(n, cap)
-        best_ones = -1
-        best_mask = 0
-        pi0 = p.zero_based
-        for mask in range(1 << (n * n)):
-            if mask.bit_count() <= best_ones:
-                continue
-            rows = _mask_rows(mask, n)
-            if not kernels.matrix_contains_perm(rows, n, pi0):
-                best_ones = mask.bit_count()
-                best_mask = mask
-        witness = BinaryMatrix(n, n, _mask_rows(best_mask, n))
+        # Flipping the rows maps copies of pi to copies of pi reversed, and
+        # the least mask value has its last row most significant: on the
+        # flipped matrix it is the first optimum in ascending row order.
+        witness = _max_ones_row_transfer(
+            n, p.zero_based[::-1], math.inf, range(1 << n)).flip_rows()
     elif method == "search":
         check_enum_cap(n, cap)
-        witness = _max_ones_row_transfer(n, p.zero_based, cost_ceiling)
-        best_ones = witness.ones
+        # Column 0 most significant, 1 before 0.
+        order = sorted(range(1 << n), key=lambda m: format(m, f"0{n}b")[::-1],
+                       reverse=True)
+        witness = _max_ones_row_transfer(n, p.zero_based, cost_ceiling, order)
     else:
         raise ValueError(f"unknown method {method!r}")
     return MaxOnesReport(
         n=n,
         pattern=p,
-        max_ones=best_ones,
-        ratio=Fraction(best_ones, n),
+        max_ones=witness.ones,
+        ratio=Fraction(witness.ones, n),
         witness=witness,
         method="exhaustive" if method == "exhaustive" else "branch-and-bound",
     )
 
 
 def _max_ones_row_transfer(
-    n: int, pi0: tuple[int, ...], cost_ceiling: int | None
+    n: int, pi0: tuple[int, ...], cost_ceiling: "int | float | None", order
 ) -> BinaryMatrix:
     """Dynamic program over rows for the most ones with no copy of pi0.
 
@@ -115,12 +107,11 @@ def _max_ones_row_transfer(
     rows i.. can add to it without completing an embedding; each new
     state is charged 2^n against the cost ceiling.
 
-    The witness takes, row by row, the first optimal mask with column 0
-    most significant and 1 before 0: the lex-greatest optimum in
-    row-major cell order, as a depth-first search over cells finds it.
+    The witness takes, row by row, the first optimal mask in ``order``,
+    a sequence of all 2^n row masks.  Masks of equal ones are tried in
+    that order too, so the states met and charged depend on it.
     """
     k, unit = len(pi0), 1 << n
-    order = sorted(range(unit), key=lambda m: format(m, f"0{n}b")[::-1], reverse=True)
     by_ones = [(m, m.bit_count()) for m in sorted(order, key=int.bit_count, reverse=True)]
     bits = [[1 << j for j in range(n) if m >> j & 1] for m in range(unit)]
     rank = [sum(v < pi0[t] for v in pi0[:t]) for t in range(k)]

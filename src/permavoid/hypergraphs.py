@@ -167,6 +167,8 @@ def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
     >>> multipartite_lambda_star(4, 2).edges
     ((1, 3), (1, 4), (2, 3), (2, 4))
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
     half = n // 2

@@ -23,6 +23,10 @@ the same tallies as one kernel call per sample would; ``min-copies``
 hands ``matrix_copy_counts`` its supports and ``sna`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
+
+The generator ``occurrences`` walks one permutation's occurrences over
+every index set, or over the edges of Λ; a containment test stops at
+the first one.
 """
 
 from __future__ import annotations
@@ -32,17 +36,13 @@ import math
 from . import _kernels_py
 from ._kernels_py import (
     BACKEND,
-    contains,
     copy_count_histogram,
     count_avoiders,
-    count_edge_hits,
     count_matrix_copies,
-    count_occurrences,
-    enumerate_occurrences,
-    hits_edge,
     matrix_contains_perm,
     matrix_copy_counts,
     occurrence_counts,
+    occurrences,
     unpack_rows,
 )
 

@@ -22,7 +22,7 @@ from itertools import permutations as _lex_permutations
 from typing import Iterable, Iterator
 
 from . import kernels
-from .config import check_enum_cap
+from .config import LIMITS, check_ceiling, check_enum_cap
 
 
 def as_int(value, what: str) -> int:
@@ -147,10 +147,22 @@ def contains(sigma: PermLike, pi: PermLike) -> bool:
     """
     s = as_permutation(sigma)
     p = as_permutation(pi)
-    return kernels.contains(s.zero_based, p.zero_based)
+    return next(kernels.occurrences(s.zero_based, p.zero_based), None) is not None
 
 
-def count_occurrences(sigma: PermLike, pi: PermLike) -> int:
+def _walk(sigma: PermLike, pi: PermLike, cost_ceiling: int | None):
+    """The occurrence walk of pi in sigma, refused first when its
+    projected work C(n,k) * k passes the cost ceiling."""
+    s = as_permutation(sigma)
+    p = as_permutation(pi)
+    cost = math.comb(len(s), len(p)) * len(p)
+    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    return kernels.occurrences(s.zero_based, p.zero_based)
+
+
+def count_occurrences(
+    sigma: PermLike, pi: PermLike, cost_ceiling: int | None = None
+) -> int:
     """Number of occurrences of pi in sigma.
 
     >>> count_occurrences((2, 4, 1, 3), (1, 2))
@@ -158,13 +170,11 @@ def count_occurrences(sigma: PermLike, pi: PermLike) -> int:
     >>> count_occurrences(Permutation.identity(5), (1, 2, 3))
     10
     """
-    s = as_permutation(sigma)
-    p = as_permutation(pi)
-    return kernels.count_occurrences(s.zero_based, p.zero_based)
+    return sum(1 for _ in _walk(sigma, pi, cost_ceiling))
 
 
 def enumerate_occurrences(
-    sigma: PermLike, pi: PermLike
+    sigma: PermLike, pi: PermLike, cost_ceiling: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """All occurrences of pi in sigma as 1-based index tuples.
 
@@ -173,10 +183,7 @@ def enumerate_occurrences(
     >>> enumerate_occurrences((2, 4, 1, 3), (1, 2))
     ((1, 2), (1, 4), (3, 4))
     """
-    s = as_permutation(sigma)
-    p = as_permutation(pi)
-    raw = kernels.enumerate_occurrences(s.zero_based, p.zero_based)
-    return tuple(tuple(x + 1 for x in occ) for occ in raw)
+    return tuple(tuple(x + 1 for x in occ) for occ in _walk(sigma, pi, cost_ceiling))
 
 
 def enumerate_permutations(
@@ -186,7 +193,7 @@ def enumerate_permutations(
 
     ``prefix`` restricts the stream to permutations beginning with the
     given distinct values; disjoint prefixes give disjoint blocks of
-    the full stream, which is how parallel consumers partition S_n.
+    the full stream, so a sweep of S_n can be split by prefix.
     Guarded by the enumeration cap.
     """
     check_enum_cap(n, cap)
@@ -240,10 +247,12 @@ class CopyCountDistribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CopyCountDistribution":
+        """Inverse of ``to_json_dict``, whose histogram holds decimal
+        strings; floats and bools are refused rather than truncated."""
         return cls(
-            n=int(data["n"]),
+            n=as_int(data["n"], "n"),
             pattern=Permutation.from_text(data["pattern"]),
-            histogram={int(c): int(v) for c, v in data["histogram"].items()},
+            histogram={int(str(c)): int(str(v)) for c, v in data["histogram"].items()},
         )
 
 

@@ -137,6 +137,21 @@ def max_ones_witness_naive(n, pi):
     return best_grid
 
 
+def max_ones_least_mask_naive(n, pi):
+    """The avoiding matrix of order n with the most ones and, among
+    those, the least mask value, where cell (i, j) is bit i*n + j: the
+    first such matrix met counting the masks up from 0."""
+    cells = n * n
+    best, best_grid = -1, None
+    for v in range(1 << cells):
+        if bin(v).count("1") <= best:
+            continue
+        grid = [[(v >> (i * n + j)) & 1 for j in range(n)] for i in range(n)]
+        if not matrix_contains_naive(grid, pi):
+            best, best_grid = bin(v).count("1"), grid
+    return best_grid
+
+
 def ex_identity(n, k):
     """Most ones in an n x n matrix avoiding the k x k identity (Füredi and
     Hajnal): 2(k-1)n - (k-1)^2.  The anti-identity shares it by the row flip."""
@@ -216,6 +231,34 @@ def inversion_histogram(n):
     for i in range(1, n + 1):
         coeffs = [sum(coeffs[max(0, c - i + 1):c + 1]) for c in range(len(coeffs) + i - 1)]
     return dict(enumerate(coeffs))
+
+
+def _sides(sigma):
+    """Per position j: (L<, L>, R<, R>), the values left of j smaller and
+    larger than sigma[j], then those right of it."""
+    out = []
+    for j, v in enumerate(sigma):
+        left_less = sum(u < v for u in sigma[:j])
+        right_less = sum(u < v for u in sigma[j + 1:])
+        out.append((left_less, j - left_less, right_less, len(sigma) - 1 - j - right_less))
+    return out
+
+
+def pattern_counts_closed(sigma):
+    """{patterns: their summed copy counts in sigma} for the patterns a
+    middle entry decides, from per-position counts alone: 21 counts the
+    inversions, sum_j L>(j); 123 is sum_j L<(j) R>(j) and 321 is
+    sum_j L>(j) R<(j); the middle entry is the largest of 132 and 231,
+    so their sum is sum_j L<(j) R<(j), and the smallest of 213 and 312,
+    so theirs is sum_j L>(j) R>(j)."""
+    sides = _sides(sigma)
+    return {
+        ((2, 1),): sum(lg for _, lg, _, _ in sides),
+        ((1, 2, 3),): sum(ll * rg for ll, _, _, rg in sides),
+        ((3, 2, 1),): sum(lg * rl for _, lg, rl, _ in sides),
+        ((1, 3, 2), (2, 3, 1)): sum(ll * rl for ll, _, rl, _ in sides),
+        ((2, 1, 3), (3, 1, 2)): sum(lg * rg for _, lg, _, rg in sides),
+    }
 
 
 def q_factorial(n, q):

@@ -108,6 +108,22 @@ def test_exit_code_3_on_enumeration_cap(capsys):
     assert code == 2 and out == ""
 
 
+def test_count_and_occurrences_refuse_past_the_cost_ceiling(capsys):
+    # C(1000, 4) * 4 and C(1000, 3) * 3 are far past 1000, and the
+    # walks they project would run for minutes: both refuse first.
+    sigma = ",".join(map(str, range(1, 1001)))
+    for sub, pi in [("count", "1,2,3,4"), ("occurrences", "1,2,3")]:
+        code, out, err = run_cli(capsys, sub, "--sigma", sigma, "--pi", pi,
+                                 "--cost-ceiling", "1000")
+        assert code == 3 and out == ""
+        assert "cost_ceiling" in err
+    # C(4, 2) * 2 = 12: the ceiling is inclusive.
+    for ceiling, want in [("11", 3), ("12", 0)]:
+        code, out, _ = run_cli(capsys, "count", "--sigma", "2,4,1,3", "--pi", "1,2",
+                               "--cost-ceiling", ceiling)
+        assert code == want
+
+
 def test_cap_override_flags(capsys):
     code, _, err = run_cli(capsys, "avoiders", "--n", "5", "--pi", "1,2",
                            "--enum-cap", "4")
@@ -419,6 +435,29 @@ GOLDEN_DIGESTS = [
     (["min-copies", "--n", "3", "--pi", "1,3,2", "--a-grid", "0,1,2,3,4,5,6,7,8,9",
       "--format", "csv"],
      "15c2f5c3fe673eaa7d70cf1ce4bdb67cec36b793a7d3d043c934d715a7a95cd8"),
+    # The exhaustive optimum and its least-mask-value witness.
+    (["max-ones", "--n", "3", "--pi", "1,2", "--mode", "exhaustive"],
+     "8b3e247af9abd3adb77713924e2c270e9c8ba422db84693307899f728094ef7b"),
+    (["max-ones", "--n", "4", "--pi", "1,2", "--mode", "exhaustive"],
+     "559be7158c080537c22ca6af6f3422fff198d91b6c7af3d5934f43ed7a939617"),
+    (["max-ones", "--n", "3", "--pi", "2,1", "--mode", "exhaustive"],
+     "21ce174853ef04c1d03ebf34a56c5c0ad78e4c9ab0d241f2d569e564bdd16d49"),
+    (["max-ones", "--n", "4", "--pi", "2,1", "--mode", "exhaustive"],
+     "97b9c31bd6796329f8140a13ae4403f4dc02b793e02460de2b6b717aa175a409"),
+    (["max-ones", "--n", "3", "--pi", "1,3,2", "--mode", "exhaustive"],
+     "eb3483b086178618acb296ceda042bf9551cd83481ef8e41aa9ab504d6953b9a"),
+    (["max-ones", "--n", "4", "--pi", "1,3,2", "--mode", "exhaustive"],
+     "00c718c325c36b9d4b4b274efdd1fb36e91d4e7c4b682a51e7fdd845bb4dd9ab"),
+    (["max-ones", "--n", "3", "--pi", "1,2,3", "--mode", "exhaustive"],
+     "2e7264a207628350b864614ee105003be6295f4aa1a09a56486e695fc230d5ae"),
+    (["max-ones", "--n", "4", "--pi", "1,2,3", "--mode", "exhaustive"],
+     "514b33c626264c50cef11e59bfb8cbdd0a294ba74d7e081dcbf04ca8a13d1790"),
+    (["max-ones", "--n", "3", "--pi", "2,4,1,3", "--mode", "exhaustive"],
+     "4d7614467651823e2b516391f2a80636bf742594c7ece9a95e19f5d2f5d152f4"),
+    (["max-ones", "--n", "4", "--pi", "2,4,1,3", "--mode", "exhaustive"],
+     "6a8879e518103de2708e45dbf159fc5a67bf03a79b32f46f321d33f7669d264e"),
+    (["max-ones", "--n", "4", "--pi", "1,3,2", "--mode", "exhaustive", "--format", "csv"],
+     "90a3f4fd1fe52eb85dae2232b586808790baff45c26990aa7c1c56b88a1c40ca"),
 ]
 
 
@@ -428,7 +467,11 @@ GOLDEN_DIGESTS = [
     "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample",
     "max-ones-123-n5", "max-ones-321-n5", "max-ones-12-n6", "max-ones-12-n4",
     "max-ones-132-n5", "max-ones-1-n1", "max-ones-123-n2", "min-copies-12-n4",
-    "min-copies-132-n3-json", "min-copies-132-n3-csv"])
+    "min-copies-132-n3-json", "min-copies-132-n3-csv",
+    "max-ones-exhaustive-12-n3", "max-ones-exhaustive-12-n4", "max-ones-exhaustive-21-n3",
+    "max-ones-exhaustive-21-n4", "max-ones-exhaustive-132-n3", "max-ones-exhaustive-132-n4",
+    "max-ones-exhaustive-123-n3", "max-ones-exhaustive-123-n4", "max-ones-exhaustive-2413-n3",
+    "max-ones-exhaustive-2413-n4", "max-ones-exhaustive-132-n4-csv"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     matrix = tmp_path / "m.txt"
     matrix.write_text(GOLDEN_MATRIX)

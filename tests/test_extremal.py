@@ -63,6 +63,15 @@ def test_search_witness_is_first_optimum_in_search_order(n, k):
         assert rep.witness.to_lists() == oracles.max_ones_witness_naive(n, pattern)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_witness_is_least_mask_optimum(n, k):
+    for pattern in itertools.permutations(range(1, k + 1)):
+        rep = max_ones_avoiding(n, pattern, method="exhaustive")
+        assert rep.witness.to_lists() == oracles.max_ones_least_mask_naive(n, pattern)
+        assert rep.max_ones == rep.witness.ones
+
+
 @pytest.mark.parametrize("pattern,n", [
     (p, n) for p in [(1, 2), (2, 1)] for n in (6, 7, 8)
 ] + [

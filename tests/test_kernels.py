@@ -110,11 +110,14 @@ def test_pure_kernels_match_oracles():
     for _ in range(50):
         n = rng.randrange(0, 8)
         sigma = random_sigma(rng, n)
-        one_based = tuple(v + 1 for v in sigma)
-        for pi in zero_based_patterns():
-            pattern = tuple(v + 1 for v in pi)
-            assert pure.count_occurrences(sigma, pi) == \
-                oracles.count_naive(one_based, pattern)
+        for pi in [()] + zero_based_patterns():
+            walk = list(pure.occurrences(sigma, pi))
+            assert [one_based(occ) for occ in walk] == \
+                oracles.occurrences_naive(one_based(sigma), one_based(pi))
+            # On chosen edges, in the edges' order: those that carry pi.
+            edges = [e for e in combinations(range(n), len(pi)) if rng.random() < 0.5]
+            rng.shuffle(edges)
+            assert list(pure.occurrences(sigma, pi, edges)) == [e for e in edges if e in walk]
     # Widths past one 64-bit word, with the ones in the last ten columns
     # (either side of column 64), sparse enough that both answers occur.
     for _ in range(8):

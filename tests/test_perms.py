@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from permavoid import (
     BinaryMatrix,
     CapExceededError,
+    KUniformHypergraph,
     Permutation,
     contains,
+    count_lambda_occurrences,
     copy_count_distribution,
     count_occurrences,
     enumerate_occurrences,
     enumerate_permutations,
+    kernels,
 )
 from permavoid.perms import CopyCountDistribution
 
@@ -197,3 +201,61 @@ def test_distribution_json_round_trip():
     assert all(isinstance(k, str) and isinstance(v, str)
                for k, v in data["histogram"].items())
     assert CopyCountDistribution.from_json_dict(data) == dist
+
+
+@pytest.mark.parametrize("change", [
+    {"n": 2.9},
+    {"n": 2.0},
+    {"n": True},
+    {"n": "2"},
+    {"histogram": {"0": 1.7, "1": "1"}},
+    {"histogram": {"0": True, "1": "1"}},
+    {"histogram": {"0": "1.0", "1": "1"}},
+    {"histogram": {0.0: "1", "1": "1"}},
+], ids=["n-float", "n-whole-float", "n-bool", "n-string", "value-float", "value-bool",
+        "value-decimal-text", "key-float"])
+def test_distribution_json_refuses_floats_and_bools(change):
+    data = copy_count_distribution(2, (1, 2)).to_json_dict() | change
+    with pytest.raises(ValueError):
+        CopyCountDistribution.from_json_dict(data)
+
+
+def test_distribution_json_takes_int_values():
+    dist = copy_count_distribution(3, (1, 2))
+    data = dist.to_json_dict()
+    data["histogram"] = {c: int(v) for c, v in data["histogram"].items()}
+    assert CopyCountDistribution.from_json_dict(data) == dist
+
+
+def test_count_and_enumerate_refuse_before_walking():
+    big = Permutation.identity(2000)
+    # C(2000, 4) * 4 is past the default ceiling of 5e9.
+    with pytest.raises(CapExceededError):
+        count_occurrences(big, (1, 2, 3, 4))
+    with pytest.raises(CapExceededError):
+        enumerate_occurrences(big, (4, 3, 2, 1))
+    with pytest.raises(CapExceededError):
+        count_occurrences(Permutation.identity(1000), (1, 2, 3), cost_ceiling=1000)
+    assert count_occurrences((2, 4, 1, 3), (1, 2), cost_ceiling=12) == 3
+    with pytest.raises(CapExceededError):
+        count_occurrences((2, 4, 1, 3), (1, 2), cost_ceiling=11)
+    # k > n and k = 0 project no work.
+    assert count_occurrences((2, 1), (1, 2, 3), cost_ceiling=0) == 0
+    assert enumerate_occurrences((2, 1), (), cost_ceiling=0) == ((),)
+
+
+@pytest.mark.parametrize("n", [40, 57, 80])
+def test_walk_counts_meet_closed_forms_past_brute_force(n):
+    rng = random.Random(1000 + n)
+    sigmas = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(2)]
+    complete = {k: KUniformHypergraph.complete(n, k) for k in (2, 3)}
+    blk = np.array(sigmas, np.uint8) - 1
+    for patterns, want in oracles.pattern_counts_closed(sigmas[0]).items():
+        assert sum(count_occurrences(sigmas[0], p) for p in patterns) == want
+        lam = complete[len(patterns[0])]
+        assert sum(count_lambda_occurrences(sigmas[0], p, lam) for p in patterns) == want
+    # The block kernel on both sigmas, one pattern at a time.
+    for patterns in [((2, 1),), ((1, 2, 3),), ((3, 2, 1),)]:
+        (pattern,) = patterns
+        want = Counter(oracles.pattern_counts_closed(s)[patterns] for s in sigmas)
+        assert kernels.occurrence_counts(blk, tuple(v - 1 for v in pattern)) == want
