@@ -6,10 +6,15 @@ was built: the C kernel then counts matrices within its 64-bit limits,
 and this one stays its reference, which tests/test_kernels.py compares
 it against on randomized inputs.
 
-The two full S_n passes (``copy_count_histogram``, ``count_avoiders``)
-are numpy sweeps over lexicographic blocks of up to 7! permutations.
-The block kernels (``occurrence_counts``, ``matrix_copy_counts``)
-count a whole block of permutations or matrices per call.
+The full S_n passes (``copy_count_histogram``, ``count_avoiders``,
+``avoider_counts``) are numpy sweeps over lexicographic blocks of up
+to 7! permutations.  ``count_avoiders`` counts, and can list, the
+avoiders over one hypergraph, for ``avoiders``; ``avoider_counts``
+counts them over a whole block of sampled hypergraphs in one pass,
+ANDing each permutation's packed carried index sets against each
+hypergraph's packed edges.  The block kernels (``occurrence_counts``,
+``matrix_copy_counts``) count a whole block of permutations or
+matrices per call.
 ``count_matrix_copies`` is ``matrix_copy_counts`` on a block of one
 matrix, so every matrix copy count here is a numpy sweep over chunks
 of row subsets.  ``occurrences``, the one walk over the occurrences
@@ -185,6 +190,54 @@ def count_avoiders(
         if collect:
             out.extend(map(tuple, blk[:, free].T.tolist()))
     return count, out
+
+
+_PLANE = 1 << 16  # (permutations x samples) cells tested per chunk
+
+
+def avoider_counts(
+    n: int,
+    pi: tuple[int, ...],
+    candidates: tuple[tuple[int, ...], ...],
+    lam_block: np.ndarray,
+) -> list[int]:
+    """The number of sigma in S_n avoiding pi over each hypergraph of a
+    block: row s of the (S, C) bool ``lam_block`` marks which of the C
+    ``candidates`` index sets are edges of the s-th hypergraph.
+
+    Per lex block of S_n, the index sets that carry pi in each
+    permutation are packed into 64-bit words like the rows of
+    ``lam_block`` (bit i of byte b is index set 8b + i); a permutation
+    avoids over a hypergraph iff their words AND to zero.  Index sets
+    that are an edge of no hypergraph in the block are never tested.
+    The (permutations x samples) plane is tested in chunks of at most
+    about ``_PLANE`` cells.
+    """
+    used = lam_block.any(axis=0)
+    candidates = [e for e, u in zip(candidates, used.tolist()) if u]
+    nbytes = 8 * max(1, -(-len(candidates) // 64))  # whole words, at least one
+    lam = np.zeros((len(lam_block), nbytes), np.uint8)
+    lam[:, :(len(candidates) + 7) // 8] = np.packbits(lam_block[:, used], axis=1,
+                                                       bitorder="little")
+    lam = lam.view(np.uint64)
+    counts = np.zeros(len(lam), np.int64)
+    lam_step = min(len(lam), _PLANE) or 1
+    perm_step = max(1, _PLANE // lam_step)
+    order = _value_order(pi)
+    for blk in _lex_blocks(n):
+        carried = np.zeros((nbytes, blk.shape[1]), np.uint8)
+        for j, mask in enumerate(_carriers(blk, candidates, order)):
+            carried[j >> 3] |= mask.view(np.uint8) << (j & 7)
+        carry = np.ascontiguousarray(carried.T).view(np.uint64)
+        for s in range(0, len(lam), lam_step):
+            some = lam[None, s:s + lam_step]
+            for p in range(0, len(carry), perm_step):
+                part = carry[p:p + perm_step, None]
+                free = (part[..., 0] & some[..., 0]) == 0
+                for w in range(1, lam.shape[1]):
+                    free &= (part[..., w] & some[..., w]) == 0
+                counts[s:s + lam_step] += np.count_nonzero(free, axis=0)
+    return counts.tolist()
 
 
 def unpack_rows(row_bits, ncols: int) -> np.ndarray:

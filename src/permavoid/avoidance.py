@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import kernels, rngutil
@@ -264,8 +264,11 @@ def mc_expected_avoiders_by_lambda(
     """Estimate E directly: draw random hypergraphs and average the
     exact avoider count of each.
 
-    Every sample costs a full S_n enumeration, so the projected work
-    samples * n! * C(n,k) * k is refused above the cost ceiling.
+    One S_n pass serves a whole block of hypergraphs, which are tested
+    against the index sets each permutation carries pi on.  The
+    projected work is still samples * n! * C(n,k) * k, as if every
+    sample were its own pass: a deliberate upper bound, refused above
+    the cost ceiling.
     """
     alpha = rngutil.exact_probability(alpha)
     if samples < 1:
@@ -276,13 +279,10 @@ def mc_expected_avoiders_by_lambda(
     cost = samples * math.factorial(n) * max(1, math.comb(n, k)) * max(1, k)
     check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
     rng = rngutil.generator(seed)
-    candidates = list(combinations(range(n), k))
-    pi0 = p.zero_based
+    candidates = tuple(combinations(range(n), k))
     avoiders = Counter()
-    for _ in range(samples):
-        mask = rngutil.bernoulli_mask(rng, alpha, len(candidates))
-        edges = tuple(compress(candidates, mask))
-        avoiders[kernels.count_avoiders(n, pi0, edges, False)[0]] += 1
+    for lam in rngutil.bernoulli_blocks(rng, alpha, len(candidates), samples):
+        avoiders.update(kernels.avoider_counts(n, p.zero_based, candidates, lam))
     mean, se = rngutil.mean_and_se(avoiders.items())
     return MCEstimate(
         method="lambda",

@@ -545,14 +545,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="uniformity (default: pattern length)")
     p.add_argument("--pi", type=_pattern_arg, required=True, metavar="PERM")
-    p.add_argument("--alpha", type=_rational_arg, required=True, metavar="P/Q")
+    p.add_argument("--alpha", type=_rational_arg, required=True, metavar="P/Q",
+                   help="edge probability in [0,1]; the lambda estimator needs "
+                        "denominator <= 2^64")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = cmd("hypergraph", _cmd_hypergraph, "seeded random k-uniform hypergraph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=_rational_arg, required=True, metavar="P/Q")
+    p.add_argument("--alpha", type=_rational_arg, required=True, metavar="P/Q",
+                   help="edge probability in [0,1], with denominator <= 2^64")
     p.add_argument("--seed", type=int, default=0)
 
     p = cmd("lambda-star", _cmd_lambda_star, "two-part hypergraph with only crossing edges")

@@ -15,11 +15,15 @@ ints.
 
 The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
 count a whole (B, n) block of permutations or (B, rows, cols) block of
-matrices per call, in numpy ints up to 2^64 and in Python ints past it.
-The Monte-Carlo estimators hand them the blocks of
-``rngutil.permutation_blocks`` and ``rngutil.subset_pair_blocks``,
+matrices per call, in numpy ints up to 2^64 and in Python ints past it,
+and ``avoider_counts`` counts the avoiders over a whole (B, C(n,k))
+block of sampled hypergraphs in one S_n pass.  The Monte-Carlo
+estimators hand them the blocks of ``rngutil.permutation_blocks``,
+``rngutil.subset_pair_blocks`` and ``rngutil.bernoulli_blocks``,
 whose rows run in the order of the per-sample draws, so a seed gives
-the same tallies as one kernel call per sample would; ``min-copies``
+the same tallies as one kernel call per sample would.
+``count_avoiders`` serves only ``avoiders``, one hypergraph per
+pass, and can list the avoiders it counts.  ``min-copies``
 hands ``matrix_copy_counts`` its supports and ``sna`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
@@ -36,6 +40,7 @@ import math
 from . import _kernels_py
 from ._kernels_py import (
     BACKEND,
+    avoider_counts,
     copy_count_histogram,
     count_avoiders,
     count_matrix_copies,

@@ -21,9 +21,12 @@ the per-sample one:
     the draw;
   * a row/column subset pair is a partial Fisher-Yates of r steps,
     ``integers(i, rows)`` for i = 0 .. r-1, then r steps
-    ``integers(i, cols)``, each subset being its first r slots sorted.
+    ``integers(i, cols)``, each subset being its first r slots sorted;
+  * a row of Bernoulli(p) indicators is one draw
+    ``integers(0, denominator, size=count)``, compared against the
+    numerator.
 
-tests/test_rngutil.py pins both against scalar loops.
+tests/test_rngutil.py pins all three against per-sample loops.
 """
 
 from __future__ import annotations
@@ -119,19 +122,30 @@ def subset_pair_blocks(
         )
 
 
-def bernoulli_mask(rng: np.random.Generator, p: Fraction, count: int) -> np.ndarray:
-    """``count`` exact Bernoulli(p) indicators for a rational p.
+def bernoulli_blocks(rng: np.random.Generator, p: Fraction, count: int, samples: int):
+    """Yield ``samples`` rows of ``count`` exact Bernoulli(p) indicators
+    for a rational p, as (B, count) bool blocks.
 
-    Draws integers uniform on [0, denominator) and compares against the
-    numerator, so the success probability is exactly p with no floating
-    rounding even for p like 1/3.
+    Each block is one draw of integers uniform on [0, denominator),
+    compared against the numerator, so the success probability is
+    exactly p with no floating rounding even for p like 1/3.  p = 0,
+    p = 1 and count = 0 draw nothing.  numpy draws these integers as
+    uint64, so a denominator above 2^64 is refused before any draw.
     """
     p = exact_probability(p)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    if p == 0:
-        return np.zeros(count, dtype=bool)
-    if p == 1:
-        return np.ones(count, dtype=bool)
-    draws = rng.integers(0, p.denominator, size=count, dtype=np.uint64)
-    return draws < p.numerator
+    certain = p.denominator == 1 or count == 0
+    if not certain and p.denominator > 2**64:
+        raise ValueError(f"alpha {p} has a denominator above 2^64; exact Bernoulli "
+                         "draws need denominator <= 2^64")
+    for size in _block_sizes(samples, count):
+        if certain:
+            yield np.full((size, count), p == 1)
+        else:
+            draws = rng.integers(0, p.denominator, size=(size, count), dtype=np.uint64)
+            yield draws < p.numerator
+
+
+def bernoulli_mask(rng: np.random.Generator, p: Fraction, count: int) -> np.ndarray:
+    """``count`` exact Bernoulli(p) indicators: one sample of
+    :func:`bernoulli_blocks`."""
+    return next(bernoulli_blocks(rng, p, count, 1))[0]

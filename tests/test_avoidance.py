@@ -9,13 +9,16 @@ from permavoid import (
     CapExceededError,
     DimensionMismatchError,
     KUniformHypergraph,
+    _kernels_py as pure,
     count_lambda_occurrences,
     enumerate_avoiders,
     exact_expected_avoiders,
+    kernels,
     lambda_contains,
     mc_expected_avoiders_by_lambda,
     mc_expected_avoiders_by_sigma,
     multipartite_lambda_star,
+    rngutil,
 )
 
 import oracles
@@ -167,6 +170,16 @@ def test_lambda_estimator_is_deterministic_and_close():
     exact = exact_expected_avoiders(4, 2, (2, 1), Fraction(1, 2)).exact_value
     assert abs(float(est1.estimate - exact)) <= 4 * est1.std_error
     assert est1.method == "lambda"
+
+
+def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
+    passes = []
+    lex_blocks = pure._lex_blocks
+    monkeypatch.setattr(pure, "_lex_blocks", lambda n: passes.append(n) or lex_blocks(n))
+    monkeypatch.setattr(kernels, "count_avoiders", None)  # one pass per sample is gone
+    samples = 2 * rngutil.BLOCK + 1
+    mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), samples, 23)
+    assert passes == [4, 4, 4]
 
 
 def test_estimators_validate_inputs():

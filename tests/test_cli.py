@@ -458,6 +458,27 @@ GOLDEN_DIGESTS = [
      "6a8879e518103de2708e45dbf159fc5a67bf03a79b32f46f321d33f7669d264e"),
     (["max-ones", "--n", "4", "--pi", "1,3,2", "--mode", "exhaustive", "--format", "csv"],
      "90a3f4fd1fe52eb85dae2232b586808790baff45c26990aa7c1c56b88a1c40ca"),
+    # The lambda estimator's draws: alpha = 0 and 1 draw nothing, one
+    # sample, 4097 samples over three blocks of draws, C(9,3) = 84 index
+    # sets (two 64-bit words), and k = 1.
+    (["expect-mc", "--estimator", "lambda", "--n", "5", "--k", "2",
+      "--pi", "2,1", "--alpha", "0", "--samples", "20", "--seed", "3"],
+     "5723ed914fd8986aeab98fd6aa6edc16128ccfebe6ab2b9392d45e4ca6e14045"),
+    (["expect-mc", "--estimator", "lambda", "--n", "5", "--k", "2",
+      "--pi", "2,1", "--alpha", "1", "--samples", "20", "--seed", "3"],
+     "1765591e00ec4a53df85a18f244f3fca719850e19c5175d105d99dccd110ec75"),
+    (["expect-mc", "--estimator", "lambda", "--n", "5", "--k", "2",
+      "--pi", "2,1", "--alpha", "2/5", "--samples", "1", "--seed", "3"],
+     "9e88484f90bed8da7713b8d7dd29d150df375f55fea3e5af73fd8137d96f98ad"),
+    (["expect-mc", "--estimator", "lambda", "--n", "4", "--k", "2",
+      "--pi", "1,2", "--alpha", "1/2", "--samples", "4097", "--seed", "5"],
+     "35a7c11f6e6911b3105f0ea772d8b87a6193e868519c5224c39ebb611cc943f6"),
+    (["expect-mc", "--estimator", "lambda", "--n", "9", "--k", "3",
+      "--pi", "1,3,2", "--alpha", "1/3", "--samples", "3", "--seed", "2"],
+     "8013ea49f21dc2e0f2c58065cd8196680b074743a04507be37b51beb22e38ec2"),
+    (["expect-mc", "--estimator", "lambda", "--n", "4", "--k", "1",
+      "--pi", "1", "--alpha", "1/2", "--samples", "50", "--seed", "1"],
+     "c73a0c9be079953e212bf13b2cd9193c625db73a4aea8fe4718424313cb1709f"),
 ]
 
 
@@ -471,7 +492,9 @@ GOLDEN_DIGESTS = [
     "max-ones-exhaustive-12-n3", "max-ones-exhaustive-12-n4", "max-ones-exhaustive-21-n3",
     "max-ones-exhaustive-21-n4", "max-ones-exhaustive-132-n3", "max-ones-exhaustive-132-n4",
     "max-ones-exhaustive-123-n3", "max-ones-exhaustive-123-n4", "max-ones-exhaustive-2413-n3",
-    "max-ones-exhaustive-2413-n4", "max-ones-exhaustive-132-n4-csv"])
+    "max-ones-exhaustive-2413-n4", "max-ones-exhaustive-132-n4-csv",
+    "expect-mc-lambda-alpha-0", "expect-mc-lambda-alpha-1", "expect-mc-lambda-one-sample",
+    "expect-mc-lambda-4097-samples", "expect-mc-lambda-two-words", "expect-mc-lambda-k1"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     matrix = tmp_path / "m.txt"
     matrix.write_text(GOLDEN_MATRIX)
@@ -637,6 +660,23 @@ def test_sample_density_exact_pass_is_gated(capsys, monkeypatch, tmp_path):
     code, _, _ = run_cli(capsys, *density, "--r", "61", "--trials", "1",
                          "--cost-ceiling", "10")
     assert code == 2
+
+
+HUGE_DENOMINATOR = "1/100000000000000000000"  # past 2^64
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypergraph", "--n", "4", "--k", "2", "--seed", "1"],
+    ["expect-mc", "--estimator", "lambda", "--n", "4", "--k", "2", "--pi", "2,1",
+     "--samples", "3", "--seed", "1"],
+])
+def test_bernoulli_draws_refuse_denominators_past_2_64(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--alpha", HUGE_DENOMINATOR)
+    assert (code, out) == (2, "")
+    assert "denominator <= 2^64" in err
+    # 2^64 itself is the largest bound a uint64 draw takes.
+    code, out, err = run_cli(capsys, *argv, "--alpha", f"1/{2**64}")
+    assert code == 0, err
 
 
 def test_version_flag(capsys):

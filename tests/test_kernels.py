@@ -263,6 +263,48 @@ def test_sweeps_cross_block_boundaries(n):
     assert_avoiders(n, pi, edges, oracle_avoiders(n, pi, edges))
 
 
+def random_lambdas(rng, size, count):
+    """A (size, count) bool block of random hypergraphs at densities
+    from 0 to 1; the first row has no edges and the second has all."""
+    block = rng.random((size, count)) < rng.random((size, 1))
+    block[0] = False
+    block[1] = True
+    return block
+
+
+def assert_avoider_counts(n, pi, block):
+    candidates = tuple(combinations(range(n), len(pi)))
+    counts = kernels.avoider_counts(n, pi, candidates, block)
+    want = [pure.count_avoiders(n, pi, tuple(e for e, x in zip(candidates, row) if x))[0]
+            for row in block.tolist()]
+    assert counts == want
+    assert all(type(c) is int for c in counts)
+
+
+def test_avoider_counts_match_one_pass_per_hypergraph():
+    rng = np.random.default_rng(1010)
+    # n = 0 and 1, k = 0 and 1, k > n, one block and several blocks of
+    # S_n, and C(8,4) = 70 index sets, past one 64-bit word
+    for n, pi, size in [(0, (), 3), (0, (0,), 3), (1, (), 4), (1, (0,), 4), (2, (0, 2, 1), 3),
+                        (4, (0,), 6), (5, (1, 0), 50), (6, (0, 2, 1), 30),
+                        (8, (1, 0), 6), (8, (1, 3, 0, 2), 5)]:
+        count = math.comb(n, len(pi))
+        assert_avoider_counts(n, pi, random_lambdas(rng, size, count))
+        assert_avoider_counts(n, pi, np.zeros((2, count), bool))  # no index set used
+    assert kernels.avoider_counts(3, (1, 0), ((0, 1), (0, 2), (1, 2)),
+                                  np.zeros((0, 3), bool)) == []
+
+
+@pytest.mark.parametrize("size", [3, 10])
+def test_avoider_counts_cross_the_plane_chunks(monkeypatch, size):
+    # 7 cells per chunk: 10 samples take two sample chunks, 3 samples
+    # leave room for two permutations per chunk.
+    monkeypatch.setattr(pure, "_PLANE", 7)
+    rng = np.random.default_rng(1111 + size)
+    for pi in [(1, 0), (0, 2, 1), (1, 3, 0, 2)]:
+        assert_avoider_counts(5, pi, random_lambdas(rng, size, math.comb(5, len(pi))))
+
+
 def test_occurrence_counts_match_oracles_on_blocks():
     rng = random.Random(808)
     # k = 0, k = 1, k > n and an empty block among them

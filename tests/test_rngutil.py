@@ -5,6 +5,8 @@ or buffers PCG64's 32-bit halves, these tests fail before any seeded
 output silently changes.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -35,10 +37,10 @@ def rows_of(blocks):
     return [tuple(row) for blk in blocks for row in blk.tolist()]
 
 
-def assert_same_state(a, b):
-    """Both generators continue with the same draws, so neither path
-    left a buffered 32-bit half behind that the other did not."""
-    assert a.integers(0, 2**31, size=4).tolist() == b.integers(0, 2**31, size=4).tolist()
+def assert_same_state(*generators):
+    """The generators all continue with the same draws, so no path left
+    a buffered 32-bit half behind that another did not."""
+    assert len({tuple(g.integers(0, 2**31, size=4).tolist()) for g in generators}) == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 8])
@@ -79,3 +81,49 @@ def test_random_submatrix_is_one_trial_of_the_scalar_stream(r):
         want = BinaryMatrix.from_rows([[a.entry(i + 1, j + 1) for j in cols] for i in rows])
         assert random_submatrix(a, r, block) == want
     assert_same_state(scalar, block)
+
+
+def scalar_bernoulli(rng, p, count):
+    """One sample of ``count`` Bernoulli(p) indicators, drawn on its own:
+    no draw for p in {0, 1} or count = 0, else one uint64 draw per
+    index set below the denominator, compared against the numerator."""
+    if count == 0 or p.denominator == 1:
+        return tuple([p == 1] * count)
+    draws = rng.integers(0, p.denominator, size=count, dtype=np.uint64)
+    return tuple((draws < p.numerator).tolist())
+
+
+@pytest.mark.parametrize("p", ["1/3", "2/5", "5/1099511627777", "1/18446744073709551616"])
+@pytest.mark.parametrize("count", [1, 10, 300])  # 300: blocks narrower than BLOCK
+def test_bernoulli_blocks_equal_per_sample_draws(p, count):
+    p = Fraction(p)
+    scalar, block, single = (rngutil.generator(13) for _ in range(3))
+    want = [scalar_bernoulli(scalar, p, count) for _ in range(SAMPLES)]
+    blocks = list(rngutil.bernoulli_blocks(block, p, count, SAMPLES))
+    step = min(rngutil.BLOCK, rngutil.BLOCK * 256 // count)
+    assert [len(b) for b in blocks] == [step] * (SAMPLES // step) + [SAMPLES % step]
+    assert all(b.shape[1] == count and b.dtype == bool for b in blocks)
+    assert rows_of(blocks) == want
+    assert [tuple(rngutil.bernoulli_mask(single, p, count).tolist())
+            for _ in range(SAMPLES)] == want
+    assert_same_state(scalar, block, single)
+
+
+@pytest.mark.parametrize("p, count", [("0", 10), ("1", 10), ("1/3", 0),
+                                      ("1/100000000000000000000", 0)])
+def test_certain_bernoulli_blocks_draw_nothing(p, count):
+    p = Fraction(p)
+    block = rngutil.generator(17)
+    rows = rows_of(rngutil.bernoulli_blocks(block, p, count, SAMPLES))
+    assert rows == [tuple([p == 1] * count)] * SAMPLES
+    assert rngutil.bernoulli_mask(block, p, count).tolist() == [p == 1] * count
+    assert_same_state(rngutil.generator(17), block)
+
+
+def test_bernoulli_blocks_refuse_denominators_past_64_bits_before_drawing():
+    block = rngutil.generator(19)
+    with pytest.raises(ValueError, match=r"denominator <= 2\^64"):
+        next(rngutil.bernoulli_blocks(block, Fraction(1, 2**64 + 1), 5, 3))
+    with pytest.raises(ValueError, match=r"denominator <= 2\^64"):
+        rngutil.bernoulli_mask(block, Fraction(3, 10**20), 5)
+    assert_same_state(rngutil.generator(19), block)
