@@ -15,11 +15,12 @@ ANDing each permutation's packed carried index sets against each
 hypergraph's packed edges.  The block kernels (``occurrence_counts``,
 ``matrix_copy_counts``) count a whole block of permutations or
 matrices per call.
-``count_matrix_copies`` is ``matrix_copy_counts`` on a block of one
-matrix, so every matrix copy count here is a numpy sweep over chunks
-of row subsets.  ``occurrences``, the one walk over the occurrences
-of a pattern in one permutation (all of them, or those on given
-edges), and ``matrix_contains_perm`` are plain Python.
+``count_matrix_copies`` counts one matrix: one AND over a cached
+table of copy masks when its nonzero rows hold at most 64 cells, and
+past that ``matrix_copy_counts`` on a block of one, a numpy sweep over
+chunks of row subsets.  ``occurrences``, the one walk over the
+occurrences of a pattern in one permutation (all of them, or those on
+given edges), and ``matrix_contains_perm`` are plain Python.
 
 Conventions:
 
@@ -251,11 +252,45 @@ def unpack_rows(row_bits, ncols: int) -> np.ndarray:
 def count_matrix_copies(
     row_bits: tuple[int, ...], ncols: int, pi: tuple[int, ...]
 ) -> int:
-    """Copies of the pattern's permutation matrix inside a 0-1 matrix:
-    ``matrix_copy_counts`` on a block of one, without its all-zero rows,
-    which can never host a 1."""
+    """Copies of the pattern's permutation matrix inside a 0-1 matrix,
+    without its all-zero rows, which can never host a 1.
+
+    A matrix of at most 64 cells is packed row-major into one word, and
+    a copy is a mask of ``_copy_masks`` with no cell outside it; a
+    larger matrix is ``matrix_copy_counts`` on a block of one.
+    """
     rows = [b for b in row_bits if b]
-    return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
+    if len(rows) * ncols > 64:
+        return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
+    if len(pi) > min(len(rows), ncols):
+        return 0  # and 1 x 64 would list all C(64, k) column subsets for no pair
+    word = 0
+    for i, b in enumerate(rows):
+        word |= b << (i * ncols)
+    masks = _copy_masks(len(rows), ncols, pi)
+    missing = masks & np.uint64(~word & 0xFFFF_FFFF_FFFF_FFFF)  # a copy's cells holding 0
+    return masks.size - int(np.count_nonzero(missing))
+
+
+@lru_cache(maxsize=64)
+def _copy_masks(nrows: int, ncols: int, pi: tuple[int, ...]) -> np.ndarray:
+    """One uint64 mask per (row k-subset, column k-subset) pair of a
+    matrix of at most 64 cells, packed as in ``count_matrix_copies``:
+    the k cells where the pair puts the pattern's 1s.
+
+    With k at most rows and cols, a table holds at most C(8,4)^2 = 4900
+    masks (8x8, k = 4), 39 KB, so the cache holds at most 64 * 39 KB.
+    """
+    k = len(pi)
+    row_sets = np.array(list(combinations(range(nrows), k)), np.uint64)
+    row_sets = row_sets.reshape(math.comb(nrows, k), k)
+    col_sets = np.array(list(combinations(range(ncols), k)), np.uint64)
+    col_sets = col_sets.reshape(math.comb(ncols, k), k)
+    # Pattern row i sits in row row_sets[:, i] and column col_sets[:, pi[i]].
+    cells = row_sets[:, None, :] * np.uint64(ncols) + col_sets[None, :, list(pi)]
+    masks = np.bitwise_or.reduce(np.uint64(1) << cells, axis=2).ravel()
+    masks.flags.writeable = False  # shared by every caller through the cache
+    return masks
 
 
 _SLAB = 1 << 16  # uint8 entries gathered per chunk of row subsets

@@ -33,11 +33,26 @@ def contract2(m: BinaryMatrix) -> BinaryMatrix:
 
 
 @lru_cache(maxsize=256)
-def _group_map(n: int, b: Fraction) -> tuple[int, ...]:
-    """0-based group of each 0-based row/column index below n: 1-based
-    index i lands in group ceil(i / b), computed exactly as
-    ceil(i * q / p) in integers."""
-    return tuple(-((-i * b.denominator) // b.numerator) - 1 for i in range(1, n + 1))
+def _group_tables(
+    n: int, p: int, q: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The groups of an n-bit row's indices for b = p/q, and (shift,
+    table) per byte of the row, where ``table[byte]`` is the mask of
+    the groups of the set bits of ``(row >> shift) & 255``.
+
+    1-based index i lands in group ceil(i / b), computed exactly as
+    ceil(i * q / p) in integers; the groups here are 0-based.  A partial
+    last byte has 2^(n - shift) entries, all that an n-bit row reaches.
+    """
+    groups = tuple(-((-i * q) // p) - 1 for i in range(1, n + 1))
+    tables = []
+    for shift in range(0, n, 8):
+        table = [0] * (1 << min(8, n - shift))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | 1 << groups[shift + low.bit_length() - 1]
+        tables.append((shift, tuple(table)))
+    return groups, tuple(tables)
 
 
 def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
@@ -48,26 +63,35 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     b = 2 on an even side coincides with :func:`contract2`.  All group
     arithmetic is exact (no floating ceilings), which is what makes
     the monotonicity tests bit-exact.
+
+    >>> m = BinaryMatrix.from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 1, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 1, 0],
+    ...                             [0, 0, 0, 0, 0, 0, 0, 0, 1]])
+    >>> contract_b(m, Fraction(3, 2)).row_lines()
+    ['100000', '010000', '000000', '000000', '000000', '000001']
     """
-    b = Fraction(b)
-    if b < 1:
+    if type(b) is not Fraction:
+        b = Fraction(b)
+    p, q = b.numerator, b.denominator  # int keys hash faster than a Fraction
+    if p < q:
         raise ValueError(f"contraction factor must be >= 1, got {b}")
     if m.rows != m.cols:
         raise DimensionMismatchError(f"need a square matrix, got {m.rows}x{m.cols}")
-    groups = _group_map(m.rows, b)
-    merged = [0] * (groups[-1] + 1 if groups else 0)
+    groups, tables = _group_tables(m.rows, p, q)
+    side = groups[-1] + 1 if groups else 0
+    merged = [0] * side
     for g, src in zip(groups, m.row_bits):
         merged[g] |= src
-    bits = []
-    for row in merged:
-        mask = 0
-        while row:
-            low = row & -row
-            mask |= 1 << groups[low.bit_length() - 1]
-            row ^= low
-        bits.append(mask)
-    side = len(bits)
-    return BinaryMatrix(side, side, tuple(bits))
+    bits = [0] * side
+    for shift, table in tables:
+        bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
+    return BinaryMatrix._trusted(side, side, tuple(bits))
 
 
 def preimage_count_contract2(m_prime: BinaryMatrix) -> int:

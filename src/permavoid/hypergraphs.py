@@ -50,10 +50,7 @@ class KUniformHypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_int(self.n, "n"))
-        object.__setattr__(self, "k", as_int(self.k, "k"))
-        if self.n < 0 or self.k < 1:
-            raise ValueError("need n >= 0 and k >= 1")
+        self._check_sizes()
         canon = []
         for e in self.edges:
             edge = _vertices(e)
@@ -69,6 +66,27 @@ class KUniformHypergraph:
             if prev == cur:
                 raise ValueError(f"duplicate edge {cur!r}")
         object.__setattr__(self, "edges", tuple(canon))
+
+    def _check_sizes(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
+        if self.n < 0 or self.k < 1:
+            raise ValueError("need n >= 0 and k >= 1")
+
+    @classmethod
+    def _trusted(
+        cls, n: int, k: int, edges: tuple[tuple[int, ...], ...]
+    ) -> "KUniformHypergraph":
+        """A hypergraph from edges the package took, in order, from
+        ``combinations(range(1, n + 1), k)``: increasing k-tuples in
+        range, distinct and in lex order, so only n and k are checked.
+        Input from outside goes through the public constructor."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "k", k)
+        object.__setattr__(h, "edges", edges)
+        h._check_sizes()
+        return h
 
     @property
     def edge_count(self) -> int:
@@ -90,7 +108,7 @@ class KUniformHypergraph:
 
     @classmethod
     def complete(cls, n: int, k: int) -> "KUniformHypergraph":
-        return cls(n, k, tuple(combinations(range(1, n + 1), k)))
+        return cls._trusted(n, k, tuple(combinations(range(1, n + 1), k)))
 
     @classmethod
     def empty(cls, n: int, k: int) -> "KUniformHypergraph":
@@ -154,7 +172,7 @@ def random_uniform_hypergraph(
         rng = rngutil.generator(rng)
     candidates = list(combinations(range(1, n + 1), k))
     mask = rngutil.bernoulli_mask(rng, alpha, len(candidates))
-    return KUniformHypergraph(n, k, tuple(compress(candidates, mask)))
+    return KUniformHypergraph._trusted(n, k, tuple(compress(candidates, mask)))
 
 
 def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
@@ -179,7 +197,7 @@ def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
         for e in combinations(range(1, n + 1), k)
         if not (e[-1] <= half or e[0] > half)
     ]
-    return KUniformHypergraph(n, k, tuple(edges))
+    return KUniformHypergraph._trusted(n, k, tuple(edges))
 
 
 @dataclass(frozen=True)

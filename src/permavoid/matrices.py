@@ -49,6 +49,18 @@ class BinaryMatrix:
             if not 0 <= b < limit:
                 raise ValueError(f"row {i} has bits outside {self.cols} columns")
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> "BinaryMatrix":
+        """A matrix from rows the package built itself: ``rows`` plain
+        ints, each below 2^cols, so ``__post_init__``'s checks are
+        skipped.  Input from outside goes through the public
+        constructors."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "row_bits", row_bits)
+        return m
+
     @cached_property
     def ones(self) -> int:
         """Number of 1-entries."""

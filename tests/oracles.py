@@ -80,6 +80,8 @@ def matrix_copies_naive(grid, pi):
     k = len(pi)
     n_rows = len(grid)
     n_cols = len(grid[0]) if grid else 0
+    if k > min(n_rows, n_cols):
+        return 0  # and 64 x 1 would walk all C(64, k) row subsets for nothing
     count = 0
     for ri in combinations(range(n_rows), k):
         for ci in combinations(range(n_cols), k):

@@ -67,14 +67,21 @@ def test_contract_b_group_boundaries():
 @pytest.mark.parametrize("b", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2),
                                Fraction(5, 2), Fraction(7, 3)], ids=str)
 def test_contract_b_matches_group_or_oracle(b):
-    # Two matrices per side: the second call reads the cached group map.
+    # Two matrices per side: the second call reads the cached tables.
+    # Sides 16 and 17 map their columns through a second and third byte.
     rng = random.Random(55)
-    for n in range(10):
+    for n in [*range(10), 16, 17]:
         for _ in range(2):
             m = random_square(rng, n, rng.random())
             out = contract_b(m, b)
-            assert out.to_lists() == oracles.contract_b_naive(m.to_lists(), b)
-            assert out.rows == out.cols == len(oracles.contract_b_naive(m.to_lists(), b))
+            want = oracles.contract_b_naive(m.to_lists(), b)
+            assert out.to_lists() == want
+            assert out.rows == out.cols == len(want)
+            # Built without revalidation, it is still the public matrix.
+            public = BinaryMatrix.from_rows(want)
+            assert out == public and hash(out) == hash(public)
+            assert out.ones == public.ones == sum(map(sum, want))
+            assert all(type(row) is int for row in out.row_bits)
 
 
 def test_contract_b_validation():

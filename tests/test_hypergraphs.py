@@ -78,6 +78,26 @@ def test_random_hypergraph_determinism_and_extremes():
     assert a != c
     assert random_uniform_hypergraph(5, 2, Fraction(1), 0).is_complete()
     assert random_uniform_hypergraph(5, 2, Fraction(0), 0).edge_count == 0
+
+
+def test_drawn_hypergraphs_equal_the_validated_ones():
+    # Drawn edges skip revalidation; n and k are still checked.
+    for n, k in [(1, 1), (4, 2), (7, 3), (6, 6), (8, 4)]:
+        drawn = [KUniformHypergraph.complete(n, k),
+                 random_uniform_hypergraph(n, k, Fraction(1, 2), n)]
+        if n % 2 == 0 and k <= n // 2:
+            drawn.append(multipartite_lambda_star(n, k))
+        for h in drawn:
+            public = KUniformHypergraph(n, k, h.edges[::-1])
+            assert h == public and hash(h) == hash(public)
+            assert h.to_json_dict() == public.to_json_dict()
+    h = random_uniform_hypergraph(np.int64(5), np.int64(2), Fraction(1, 2), 1)
+    assert type(h.n) is int and type(h.k) is int
+    for bad in [(4, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="need n >= 0"):
+            KUniformHypergraph.complete(*bad)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        random_uniform_hypergraph(4, 0, Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         random_uniform_hypergraph(5, 2, Fraction(3, 2), 0)
     with pytest.raises(ValueError):

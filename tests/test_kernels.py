@@ -176,8 +176,11 @@ def test_matrix_copies_match_oracle_on_edge_shapes(monkeypatch, slab, table):
     monkeypatch.setattr(pure, "_SLAB", slab)
     monkeypatch.setattr(pure, "_TABLE", table)
     rng = random.Random(707)
+    # Up to 64 cells in the nonzero rows count by copy masks, past it by
+    # the slab sweep: (6, 13) keeps 65 once its zeroed row is dropped.
     for rows, cols in [(0, 0), (3, 0), (0, 3), (1, 1), (4, 4), (6, 5), (5, 6), (8, 8),
-                       (2, 70), (3, 67)]:
+                       (2, 70), (3, 67), (1, 64), (64, 1), (4, 16), (7, 9), (5, 13),
+                       (6, 13)]:
         for density in (0.0, 0.3, 0.7, 1.0):
             grid = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
             if rows > 1:
@@ -187,6 +190,8 @@ def test_matrix_copies_match_oracle_on_edge_shapes(monkeypatch, slab, table):
                 got = pure.count_matrix_copies(row_bits, cols, pi)
                 assert got == oracles.matrix_copies_naive(grid, one_based(pi))
                 assert type(got) is int
+    filled = pure.count_matrix_copies([0xFF] * 8, 8, (0, 1, 2, 3))
+    assert filled == math.comb(8, 4) ** 2 == 4900
 
 
 # Lengths 1 to 4.  S_n streams through blocks of at most 7! permutations,
