@@ -7,12 +7,19 @@ and this one stays its reference, which tests/test_kernels.py compares
 it against on randomized inputs.
 
 The full S_n passes (``copy_count_histogram``, ``count_avoiders``,
-``avoider_counts``) are numpy sweeps over lexicographic blocks of up
-to 7! permutations.  ``count_avoiders`` counts, and can list, the
-avoiders over one hypergraph, for ``avoiders``; ``avoider_counts``
-counts them over a whole block of sampled hypergraphs in one pass,
-ANDing each permutation's packed carried index sets against each
-hypergraph's packed edges.  The block kernels (``occurrence_counts``,
+``avoider_counts``) sweep S_n in lexicographic blocks of up to 7!
+permutations: a fixed (n - t)-value prefix above the lex table of the
+t values it leaves.  ``copy_count_histogram`` and ``avoider_counts``
+compare the values of each built block in numpy.  ``count_avoiders``,
+which counts, and can list, the avoiders over one hypergraph for
+``avoiders``, builds no block: each test sigma[x] < sigma[y] in a block
+is a row of ``_atlas(t)``, a cached bit-packed table over the t!
+tail orders, so an edge is an AND of k - 1 gathered rows and a block
+an OR over its edges.  ``avoider_counts`` counts the avoiders over a
+whole block of sampled hypergraphs in one pass, ANDing each
+permutation's packed carried index sets against each hypergraph's
+packed edges; it needs them per permutation, not ORed over edges, so
+it keeps the value comparisons.  The block kernels (``occurrence_counts``,
 ``matrix_copy_counts``) count a whole block of permutations or
 matrices per call.
 ``count_matrix_copies`` counts one matrix: one AND over a cached
@@ -166,6 +173,76 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     return hist
 
 
+@lru_cache(maxsize=None)
+def _atlas(t: int) -> np.ndarray:
+    """Every comparison a lex block of ``_lex_blocks`` can make, as one
+    bit-packed row over the t! columns of ``_lex_table(t)``: bit j of a
+    row (little-endian within bytes) is column j, and zero bits pad each
+    row to whole uint64 words, the read-only array's dtype.
+
+      * row 0 is never true and row 1 always;
+      * row 2 + a*t + b is tail[a] < tail[b];
+      * row 2 + t*t + b*(t + 1) + r is tail[b] >= r, for r = 0..t;
+      * row 2 + t*t + t*(t + 1) + b*(t + 1) + r is tail[b] < r.
+
+    The rows are packed one at a time; at t = 7 the atlas holds 161
+    rows of 632 bytes.
+    """
+    tail = _lex_table(t)
+    size = tail.shape[1]
+
+    def rows():
+        yield np.zeros(size, bool)
+        yield np.ones(size, bool)
+        for a in range(t):
+            for b in range(t):
+                yield tail[a] < tail[b]
+        for b in range(t):
+            for r in range(t + 1):
+                yield tail[b] >= r
+        for b in range(t):
+            for r in range(t + 1):
+                yield tail[b] < r
+
+    atlas = np.zeros((2 + t * t + 2 * t * (t + 1), 8 * -(-size // 64)), np.uint8)
+    for i, row in enumerate(rows()):
+        atlas[i, :(size + 7) // 8] = np.packbits(row, bitorder="little")
+    atlas = atlas.view(np.uint64)
+    atlas.flags.writeable = False  # shared by every caller through the cache
+    return atlas
+
+
+def _block_lookups(n: int):
+    """Yield, for each block of ``_lex_blocks(n)`` in order, its prefix
+    and an (n, n) array whose entry [x, y] is the ``_atlas(t)`` row of
+    sigma[x] < sigma[y] in the block.  The array is overwritten for the
+    next block.
+
+    The t values the prefix leaves fill the tail in sorted order, so
+    two tail positions compare as their lex-table entries do.  A prefix
+    value v exceeds exactly r of them, r = v - #(smaller prefix values),
+    so v is below the value at tail position b iff tail[b] >= r.  Two
+    prefix values compare the same way in every column: row 0 or row 1.
+    """
+    t = min(n, 7)
+    p = n - t
+    ge = 2 + t * t + (t + 1) * np.arange(t)  # + r: tail[b] >= r
+    lt = ge + t * (t + 1)  # + r: tail[b] < r
+    rows = np.empty((n, n), np.intp)
+    rows[p:, p:] = 2 + np.arange(t * t).reshape(t, t)
+    for prefix in _lex_permutations(range(n), p):
+        v = np.array(prefix, np.intp)
+        lower = v[:, None] < v
+        r = v - lower.sum(axis=0)  # the tail values below each prefix value
+        rows[:p, :p] = lower
+        rows[:p, p:] = r[:, None] + ge
+        rows[p:, :p] = lt[:, None] + r
+        yield prefix, rows
+
+
+_ATLAS_CHUNK = 1 << 16  # bytes of atlas rows gathered per chunk of edges
+
+
 def count_avoiders(
     n: int,
     pi: tuple[int, ...],
@@ -177,19 +254,47 @@ def count_avoiders(
     ``edges=None`` means the complete hypergraph, i.e. classical
     avoidance.  Returns (count, avoiders or None); avoiders are 0-based
     value tuples in lexicographic order.
+
+    No block of S_n is built and no value compared: an edge carries pi
+    in the permutations where its k - 1 tests sigma[x] < sigma[y], taken
+    in pattern value order, all hold, and ``_block_lookups`` names each
+    test as a row of the cached ``_atlas``.  Per block, the rows of the
+    edges are gathered and ANDed in chunks of at most about
+    ``_ATLAS_CHUNK`` bytes and ORed into one mask of the permutations
+    hit; its zero bits are the avoiders, built only for ``collect``.
+
+    >>> count_avoiders(4, (0, 2, 1), None)
+    (14, None)
+    >>> count_avoiders(4, (0, 2, 1), ())
+    (24, None)
     """
-    order = _value_order(pi)
-    count = 0
+    k = len(pi)
+    sets = list(combinations(range(n), k) if edges is None else edges)
     out: list[tuple[int, ...]] | None = [] if collect else None
-    for blk in _lex_blocks(n):
-        hit = np.zeros(blk.shape[1], bool)
-        index_sets = combinations(range(n), len(pi)) if edges is None else edges
-        for mask in _carriers(blk, index_sets, order):
-            hit |= mask
-        free = ~hit
+    if k < 2 and sets:
+        return 0, out  # every index set carries a pattern of length 0 or 1
+    t = min(n, 7)
+    atlas = _atlas(t)
+    tail = _lex_table(t)
+    chained = np.array(sets, np.intp).reshape(len(sets), k)[:, _value_order(pi)]
+    pairs = chained[:, :-1] * n + chained[:, 1:]  # flat [x, y] of each test
+    step = max(1, _ATLAS_CHUNK // atlas[0].nbytes)
+    count = 0
+    for prefix, lookup in _block_lookups(n):
+        tests = lookup.take(pairs)
+        hit = np.zeros_like(atlas[0])
+        for s in range(0, len(tests), step):
+            part = tests[s:s + step]
+            carried = atlas[part[:, 0]]
+            for j in range(1, k - 1):
+                carried &= atlas[part[:, j]]
+            hit |= np.bitwise_or.reduce(carried, axis=0)
+        free = np.unpackbits((~hit).view(np.uint8), count=tail.shape[1],
+                             bitorder="little").view(bool)
         count += int(np.count_nonzero(free))
         if collect:
-            out.extend(map(tuple, blk[:, free].T.tolist()))
+            rest = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)
+            out.extend(prefix + row for row in map(tuple, rest[tail[:, free]].T.tolist()))
     return count, out
 
 

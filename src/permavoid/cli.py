@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -654,6 +653,10 @@ def _jsonable(value):
 
 
 def _write_manifest(path: str, args, argv: list[str], output: str, wall_ms: int) -> None:
+    # Imported here: hashlib loads OpenSSL, about 3.5 MB of resident
+    # memory that only a run writing a manifest needs.
+    import hashlib
+
     skip = {"func", "manifest", "subcommand"}
     parameters = {
         key: _jsonable(value)

@@ -25,7 +25,9 @@ estimators hand them the blocks of ``rngutil.permutation_blocks``,
 whose rows run in the order of the per-sample draws, so a seed gives
 the same tallies as one kernel call per sample would.
 ``count_avoiders`` serves only ``avoiders``, one hypergraph per
-pass, and can list the avoiders it counts.  ``min-copies``
+pass, and can list the avoiders it counts; it compares no values, but
+reads each test sigma[x] < sigma[y] of a lex block as a row of a
+cached bit-packed atlas over the block's tail orders.  ``min-copies``
 hands ``matrix_copy_counts`` its supports and ``sna`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -215,8 +215,19 @@ def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
     >>> count_matrix_copies(permutation_matrix((2, 4, 1, 3)), (1, 2))
     3
     """
-    p = as_permutation(pi)
-    return kernels.count_matrix_copies(a.row_bits, a.cols, p.zero_based)
+    if type(pi) is tuple and all(type(v) is int for v in pi):
+        # (True, 2) and (1.0, 2.0) hash and compare equal to (1, 2), so
+        # only plain ints may reach the cache; Permutation refuses the rest.
+        zero_based = _zero_based(pi)
+    else:
+        zero_based = as_permutation(pi).zero_based
+    return kernels.count_matrix_copies(a.row_bits, a.cols, zero_based)
+
+
+@lru_cache(maxsize=256)
+def _zero_based(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The validated 0-based pattern of a tuple of 1-based int values."""
+    return Permutation(values).zero_based
 
 
 @dataclass(frozen=True)

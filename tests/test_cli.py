@@ -383,6 +383,41 @@ GOLDEN_MATRIX = """8 8
 00101110
 """
 
+# A seeded 3-graph on 9 vertices: 28 of the C(9,3) = 84 triples,
+# random.Random(13).sample of the lexicographic triples, sorted.
+GOLDEN_LAMBDA = """9 3
+1 2 4
+1 2 6
+1 3 5
+1 3 6
+1 3 7
+1 4 8
+1 5 6
+1 6 8
+1 8 9
+2 3 4
+2 3 5
+2 3 9
+2 4 6
+2 4 8
+2 7 9
+3 4 6
+3 5 7
+3 5 8
+3 5 9
+3 6 9
+4 6 7
+4 6 8
+4 8 9
+5 6 9
+5 8 9
+6 7 9
+6 8 9
+7 8 9
+"""
+
+PLACEHOLDERS = {"MATRIX": GOLDEN_MATRIX, "LAMBDA": GOLDEN_LAMBDA, "EMPTY": "8 3\n"}
+
 GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "7", "--pi", "1,3,2",
       "--alpha", "1/3", "--samples", "300", "--seed", "7"],
@@ -479,6 +514,23 @@ GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "lambda", "--n", "4", "--k", "1",
       "--pi", "1", "--alpha", "1/2", "--samples", "50", "--seed", "1"],
      "c73a0c9be079953e212bf13b2cd9193c625db73a4aea8fe4718424313cb1709f"),
+    # Avoider censuses: the complete hypergraph (C_9 = 4862 for 132, and
+    # one 21-avoider), a seeded 3-graph, the lists of one lex block of
+    # S_7 and of blocks under a 1-value prefix in S_8, k = 1, and no edges.
+    (["avoiders", "--n", "9", "--pi", "1,3,2"],
+     "301126fd9f2f80a090e96744f5026410d81e60df96ce8028e7d91da91eebbba3"),
+    (["avoiders", "--n", "8", "--pi", "2,1"],
+     "a91d7e4b8c03a300ed58d9558297fea6b61220a92f3b6ded65133093bb5ad666"),
+    (["avoiders", "--n", "9", "--pi", "1,3,2", "--lambda-file", "LAMBDA"],
+     "1fae746f92e8b6e107e4b2f9a5d73adb6d6c7b0eeada01045975ebfe5888f058"),
+    (["avoiders", "--n", "7", "--pi", "1,3,2", "--list"],
+     "900b9315bb19cde9758be5a4dd54316034789bb803952c8ae597e74a9438e18a"),
+    (["avoiders", "--n", "8", "--pi", "2,3,1", "--list"],
+     "22d0ba0401595db0f82eae30e84026347338595e0b569c0de3f9e140f601d995"),
+    (["avoiders", "--n", "5", "--pi", "1", "--list"],
+     "846618c2841565b674e490713edf2bd5d5986ec0e496e63e5dbac2d6d0d9dc4d"),
+    (["avoiders", "--n", "8", "--pi", "1,3,2", "--lambda-file", "EMPTY"],
+     "621f793f8b4f630c358166e63f1b69326d174ebe76274959b198595eb9ea10d1"),
 ]
 
 
@@ -494,11 +546,13 @@ GOLDEN_DIGESTS = [
     "max-ones-exhaustive-123-n3", "max-ones-exhaustive-123-n4", "max-ones-exhaustive-2413-n3",
     "max-ones-exhaustive-2413-n4", "max-ones-exhaustive-132-n4-csv",
     "expect-mc-lambda-alpha-0", "expect-mc-lambda-alpha-1", "expect-mc-lambda-one-sample",
-    "expect-mc-lambda-4097-samples", "expect-mc-lambda-two-words", "expect-mc-lambda-k1"])
+    "expect-mc-lambda-4097-samples", "expect-mc-lambda-two-words", "expect-mc-lambda-k1",
+    "avoiders-132-n9", "avoiders-21-n8", "avoiders-seeded-n9", "avoiders-list-n7",
+    "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
-    matrix = tmp_path / "m.txt"
-    matrix.write_text(GOLDEN_MATRIX)
-    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    for name, text in PLACEHOLDERS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in PLACEHOLDERS else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

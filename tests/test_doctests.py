@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 from permavoid import (
+    _kernels_py,
     avoidance,
     contraction,
     extremal,
@@ -14,7 +15,8 @@ from permavoid import (
     perms,
 )
 
-MODULES = [perms, matrices, hypergraphs, avoidance, contraction, extremal, gridhg]
+MODULES = [perms, matrices, hypergraphs, avoidance, contraction, extremal, gridhg,
+           _kernels_py]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

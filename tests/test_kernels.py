@@ -268,6 +268,60 @@ def test_sweeps_cross_block_boundaries(n):
     assert_avoiders(n, pi, edges, oracle_avoiders(n, pi, edges))
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_count_avoiders_past_brute_force(n):
+    # Every pattern of length 3 has Catalan(n) avoiders; only the
+    # identity avoids 21 and only its reverse avoids 12.
+    for pi in permutations(range(3)):
+        assert pure.count_avoiders(n, pi, None) == (oracles.catalan(n), None)
+    assert pure.count_avoiders(n, (1, 0), None) == (1, None)
+    assert pure.count_avoiders(n, (0, 1), None, collect=True) == (1, [tuple(range(n))[::-1]])
+    assert pure.count_avoiders(n, (0, 2, 1), ()) == (math.factorial(n), None)
+
+
+def unpacked_atlas(t):
+    return np.unpackbits(pure._atlas(t).view(np.uint8), axis=1, bitorder="little").view(bool)
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_atlas_rows_are_the_comparisons_they_name(t):
+    tail = pure._lex_table(t).astype(int)
+    size = tail.shape[1]
+    want = [np.zeros(size, bool), np.ones(size, bool)]
+    want += [tail[a] < tail[b] for a in range(t) for b in range(t)]
+    want += [tail[b] >= r for b in range(t) for r in range(t + 1)]
+    want += [tail[b] < r for b in range(t) for r in range(t + 1)]
+    atlas = unpacked_atlas(t)
+    assert pure._atlas(t).dtype == np.uint64
+    assert not atlas[:, size:].any()  # zero padding up to whole words
+    np.testing.assert_array_equal(atlas[:, :size], np.array(want))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 9])
+def test_block_lookups_name_each_blocks_comparisons(n):
+    atlas = unpacked_atlas(min(n, 7))[:, :math.factorial(min(n, 7))]
+    blocks = list(pure._lex_blocks(n))
+    lookups = [(prefix, rows.copy()) for prefix, rows in pure._block_lookups(n)]
+    assert len(lookups) == len(blocks)
+    for (prefix, rows), blk in zip(lookups, blocks):
+        assert blk[:len(prefix)].tolist() == [[v] * blk.shape[1] for v in prefix]
+        np.testing.assert_array_equal(atlas[rows], blk[:, None] < blk[None, :])
+
+
+def test_count_avoiders_crosses_edge_chunks(monkeypatch):
+    rng = random.Random(1212)
+    cases = []
+    for pi in [(0, 2, 1), (1, 3, 0, 2)]:
+        complete = tuple(combinations(range(8), len(pi)))
+        cases += [(pi, None), (pi, tuple(sorted(rng.sample(complete, 21)))), (pi, complete[:1])]
+    want = [pure.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases]
+    # 1300 bytes hold two 632-byte atlas rows at t = 7, so 21 edges
+    # leave a half chunk; 1 byte holds one edge per chunk.
+    for chunk in [1300, 1]:
+        monkeypatch.setattr(pure, "_ATLAS_CHUNK", chunk)
+        assert [pure.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases] == want
+
+
 def random_lambdas(rng, size, count):
     """A (size, count) bool block of random hypergraphs at densities
     from 0 to 1; the first row has no edges and the second has all."""
@@ -284,6 +338,13 @@ def assert_avoider_counts(n, pi, block):
             for row in block.tolist()]
     assert counts == want
     assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize("n,pi,size", [(8, (1, 3, 0, 2), 6), (9, (0, 2, 1), 6),
+                                       (10, (2, 0, 1), 3)])
+def test_avoider_counts_match_one_pass_past_one_block(n, pi, size):
+    rng = np.random.default_rng(1313 + n)
+    assert_avoider_counts(n, pi, random_lambdas(rng, size, math.comb(n, len(pi))))
 
 
 def test_avoider_counts_match_one_pass_per_hypergraph():

@@ -85,6 +85,16 @@ def test_golden_copy_counts():
     assert count_matrix_copies(permutation_matrix((2, 4, 1, 3)), (1, 2)) == 3
 
 
+def test_copy_count_patterns_are_validated_after_a_cached_call():
+    a = BinaryMatrix.filled(3, 3)
+    assert count_matrix_copies(a, (1, 2)) == 9  # (1, 2) is now cached
+    # Each equals (1, 2) or shares its hash, but Permutation refuses it.
+    for bad in [(True, 2), (1.0, 2.0), (1, True), (1, 1), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError):
+            count_matrix_copies(a, bad)
+    assert count_matrix_copies(a, [1, 2]) == count_matrix_copies(a, Permutation((1, 2))) == 9
+
+
 def test_pattern_may_be_a_permutation_matrix():
     a = BinaryMatrix.filled(3, 3)
     assert count_matrix_copies(a, (1, 2)) == 9
