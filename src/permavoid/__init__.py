@@ -4,9 +4,8 @@ Permutation patterns, 0-1 matrix containment, avoidance restricted to
 hypergraph edge sets, block contractions, extremal searches, and the
 grid-hypergraph formulation — all exact, seeded, and desk-scale.
 
-The counting kernels are Python and numpy, except that a C extension,
-when it was built, counts the copies in one small matrix.
-``permavoid.kernels.BACKEND`` says whether it is live.
+The counting kernels are Python and numpy, all in one module,
+``permavoid.kernels``.
 """
 
 from .avoidance import (

@@ -273,12 +273,14 @@ def _cmd_expect_mc(args):
 
 
 def _cmd_hypergraph(args):
-    h = random_uniform_hypergraph(args.n, args.k, args.alpha, args.seed)
+    h = random_uniform_hypergraph(args.n, args.k, args.alpha, args.seed,
+                                  ceiling=args.edge_ceiling)
     return h.to_json_dict()
 
 
 def _cmd_lambda_star(args):
-    return multipartite_lambda_star(args.n, args.k).to_json_dict()
+    lam = multipartite_lambda_star(args.n, args.k, ceiling=args.edge_ceiling)
+    return lam.to_json_dict()
 
 
 def _cmd_clique_cover(args):
@@ -331,6 +333,7 @@ def _cmd_extremal(args):
         "blocks": args.n * args.n // args.a,
     } | _matrix_report(m)
     if args.pi is not None:
+        check_densities(m, args.pi, args.cost_ceiling)  # as sample-density's exact pass
         k = len(args.pi)
         bound = Fraction(args.a ** (2 * k - 1), args.n ** (2 * k - 2))
         report["pi"] = args.pi.to_text()
@@ -499,13 +502,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--matrix-cap", type=int, metavar="N",
                         help="override the exhaustive matrix-search cap")
     common.add_argument("--edge-ceiling", type=int, metavar="N",
-                        help="override the grid-hypergraph edge ceiling")
+                        help="override the edge ceiling of the grid hypergraph "
+                        "and of the C(n,k) candidates that hypergraph and "
+                        "lambda-star list")
     common.add_argument("--subset-ceiling", type=int, metavar="N",
                         help="override the independent-set subset ceiling")
     common.add_argument("--cost-ceiling", type=int, metavar="N",
                         help="override the work ceiling of count, occurrences, "
-                        "the Monte-Carlo estimators, the max-ones search and the "
-                        "exact pass of sample-density")
+                        "the Monte-Carlo estimators, the max-ones search, the "
+                        "exact pass of sample-density and the copy count of "
+                        "extremal --pi")
 
     def cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)

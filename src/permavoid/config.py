@@ -11,7 +11,9 @@ environment variables:
                               matrix searches (min-copies and
                               max-ones --mode exhaustive)      (default 4)
     PERMAVOID_EDGE_CEILING    max edge count when building the
-                              grid pattern hypergraph          (default 500000)
+                              grid pattern hypergraph, and max
+                              C(n,k) candidate edges listed by
+                              hypergraph and lambda-star       (default 500000)
     PERMAVOID_SUBSET_CEILING  max candidate-subset count for
                               exact independent-set counting   (default 5000000)
     PERMAVOID_COST_CEILING    max C(n,k) * k for the occurrences
@@ -22,8 +24,9 @@ environment variables:
                               C(r,k) * k * r for submatrix
                               sampling, C(rows,k) * k * cols
                               for the exact copy density of a
-                              matrix, states * 2^n for the
-                              max-ones row-transfer search     (default 5e9)
+                              matrix and the copies counted by
+                              extremal --pi, states * 2^n for
+                              the max-ones row-transfer search (default 5e9)
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rngutil
-from .config import check_enum_cap
+from .config import LIMITS, check_ceiling, check_enum_cap
 from .errors import CliqueCoverError, DimensionMismatchError
 from .perms import as_int
 
@@ -157,17 +157,21 @@ def random_uniform_hypergraph(
     k: int,
     alpha: "Fraction | int | str",
     rng: "np.random.Generator | int",
+    ceiling: int | None = None,
 ) -> KUniformHypergraph:
     """Include each of the C(n,k) possible edges independently with
     probability alpha.
 
     ``alpha`` is an exact rational (so the Bernoulli draws are exact
     integer comparisons, identical on every platform for a fixed
-    seed); ``rng`` is a seed or a generator.
+    seed); ``rng`` is a seed or a generator.  The C(n,k) candidates
+    are listed, so their number is checked against the edge ceiling
+    first.
     """
     alpha = rngutil.exact_probability(alpha)
     if k > n:
         raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
+    check_ceiling("edge_ceiling", math.comb(n, k), ceiling, LIMITS.edge_ceiling)
     if isinstance(rng, int):
         rng = rngutil.generator(rng)
     candidates = list(combinations(range(1, n + 1), k))
@@ -175,12 +179,15 @@ def random_uniform_hypergraph(
     return KUniformHypergraph._trusted(n, k, tuple(compress(candidates, mask)))
 
 
-def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
+def multipartite_lambda_star(
+    n: int, k: int, ceiling: int | None = None
+) -> KUniformHypergraph:
     """The two-part hypergraph whose edges are exactly the k-sets not
     contained in a single part.
 
     Parts are {1..n/2} and {n/2+1..n}; the edge count is
-    C(n,k) - 2*C(n/2,k).
+    C(n,k) - 2*C(n/2,k).  All C(n,k) k-sets are listed, so their
+    number is checked against the edge ceiling first.
 
     >>> multipartite_lambda_star(4, 2).edges
     ((1, 3), (1, 4), (2, 3), (2, 4))
@@ -192,6 +199,7 @@ def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
     half = n // 2
     if k > half:
         raise ValueError(f"k={k} exceeds part size {half}")
+    check_ceiling("edge_ceiling", math.comb(n, k), ceiling, LIMITS.edge_ceiling)
     edges = [
         e
         for e in combinations(range(1, n + 1), k)

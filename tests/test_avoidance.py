@@ -9,7 +9,6 @@ from permavoid import (
     CapExceededError,
     DimensionMismatchError,
     KUniformHypergraph,
-    _kernels_py as pure,
     count_lambda_occurrences,
     enumerate_avoiders,
     exact_expected_avoiders,
@@ -174,8 +173,8 @@ def test_lambda_estimator_is_deterministic_and_close():
 
 def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
     passes = []
-    lex_blocks = pure._lex_blocks
-    monkeypatch.setattr(pure, "_lex_blocks", lambda n: passes.append(n) or lex_blocks(n))
+    lex_blocks = kernels._lex_blocks
+    monkeypatch.setattr(kernels, "_lex_blocks", lambda n: passes.append(n) or lex_blocks(n))
     monkeypatch.setattr(kernels, "count_avoiders", None)  # one pass per sample is gone
     samples = 2 * rngutil.BLOCK + 1
     mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), samples, 23)

@@ -279,6 +279,54 @@ def test_extremal_cli(capsys):
     assert code == 2
 
 
+def test_extremal_copy_count_is_gated(capsys):
+    # C(200,5) * 5 * 200 is about 2.5e12, past the default 5e9: the
+    # count would run for minutes, so it is refused first.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "extremal", "--n", "200", "--a", "400",
+                             "--pi", "1,2,3,4,5")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "cost_ceiling" in err
+    # C(4,2) * 2 * 4 = 48: the ceiling is inclusive.
+    for ceiling, want in [("47", 3), ("48", 0)]:
+        code, _, _ = run_cli(capsys, "extremal", "--n", "4", "--a", "8", "--pi", "2,1",
+                             "--cost-ceiling", ceiling)
+        assert code == want
+    # Without --pi nothing is counted, so nothing is charged.
+    code, _, _ = run_cli(capsys, "extremal", "--n", "4", "--a", "8", "--cost-ceiling", "0")
+    assert code == 0
+
+
+def test_hypergraph_and_lambda_star_charge_their_candidates(capsys, monkeypatch):
+    # Both list all C(n,k) candidate edges, charged against the edge
+    # ceiling: C(1001,2) = 500,500 is one past the default 500,000.
+    hypergraph = ["hypergraph", "--n", "1001", "--k", "2", "--alpha", "0"]
+    code, out, err = run_cli(capsys, *hypergraph)
+    assert code == 3 and out == "" and "edge_ceiling" in err
+    assert run_json(capsys, *hypergraph, "--edge-ceiling", "500500")["edges"] == []
+    # C(10,3) = 120: the ceiling is inclusive.
+    for ceiling, want in [("119", 3), ("120", 0)]:
+        code, _, _ = run_cli(capsys, "lambda-star", "--n", "10", "--k", "3",
+                             "--edge-ceiling", ceiling)
+        assert code == want
+    # C(3000,3) is about 4.5e9: refused before one candidate is listed
+    # or one sample drawn.
+    _no_sampling(monkeypatch)
+    for argv in (["hypergraph", "--n", "3000", "--k", "3", "--alpha", "1/2", "--seed", "1"],
+                 ["lambda-star", "--n", "3000", "--k", "3"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "edge_ceiling" in err
+    # Invalid input is still refused first, with exit 2.
+    code, _, _ = run_cli(capsys, "hypergraph", "--n", "3000", "--k", "3", "--alpha", "2")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "lambda-star", "--n", "3001", "--k", "3")
+    assert code == 2
+
+
 def test_min_copies_cli_grid(capsys):
     code, out, _ = run_cli(capsys, "min-copies", "--n", "2", "--pi", "1,2",
                            "--a-grid", "3,4", "--format", "csv")

@@ -5,18 +5,18 @@ import doctest
 import pytest
 
 from permavoid import (
-    _kernels_py,
     avoidance,
     contraction,
     extremal,
     gridhg,
     hypergraphs,
+    kernels,
     matrices,
     perms,
 )
 
 MODULES = [perms, matrices, hypergraphs, avoidance, contraction, extremal, gridhg,
-           _kernels_py]
+           kernels]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
