@@ -31,6 +31,7 @@ from . import __version__, avoidance, contraction, extremal, gridhg
 from .errors import CapExceededError
 from .hypergraphs import (
     KUniformHypergraph,
+    check_dims,
     multipartite_lambda_star,
     random_uniform_hypergraph,
     validate_clique_cover,
@@ -249,6 +250,7 @@ def _cmd_expect(args):
 def _cmd_expect_mc(args):
     k = args.k if args.k is not None else len(args.pi)
     if args.estimator == "sigma":
+        check_dims(args.n, k, args.n, len(args.pi))
         est = avoidance.mc_expected_avoiders_by_sigma(
             args.n, args.pi, args.alpha, args.samples, args.seed,
             cost_ceiling=args.cost_ceiling,

@@ -3,17 +3,11 @@
 The full S_n passes (``copy_count_histogram``, ``count_avoiders``,
 ``avoider_counts``) sweep S_n in lexicographic blocks of up to 7!
 permutations: a fixed (n - t)-value prefix above the lex table of the
-t values it leaves.  ``copy_count_histogram`` and ``avoider_counts``
-compare the values of each built block in numpy.  ``count_avoiders``,
-which counts, and can list, the avoiders over one hypergraph for
-``avoiders``, builds no block: each test sigma[x] < sigma[y] in a block
-is a row of ``_atlas(t)``, a cached bit-packed table over the t!
-tail orders, so an edge is an AND of k - 1 gathered rows and a block
-an OR over its edges.  ``avoider_counts`` counts the avoiders over a
-whole (B, C(n,k)) block of sampled hypergraphs in one pass, ANDing
-each permutation's packed carried index sets against each hypergraph's
-packed edges; it needs them per permutation, not ORed over edges, so
-it keeps the value comparisons.
+t values it leaves.  No block is built: each test sigma[x] < sigma[y]
+is a row of ``_atlas(t)``, a cached bit-packed table over the t! tail
+orders, and ``_carried_words`` ANDs k - 1 rows per index set.  The
+histogram sums those bits per permutation; the avoider counts OR them
+over the edges of one hypergraph or of each sampled one.
 
 The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
 count a whole (B, n) block of permutations or (B, rows, cols) block of
@@ -51,7 +45,6 @@ Conventions:
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -137,60 +130,31 @@ def _lex_table(t: int) -> np.ndarray:
     return np.fromiter(flat, np.uint8, size * t).reshape(size, t).T
 
 
-def _lex_blocks(n: int):
-    """Yield S_n in lexicographic order as (n, B) uint8 blocks: each
-    (n - t)-value prefix, in lex order, above the lex table of the t
-    values it leaves, with t = min(n, 7)."""
-    t = min(n, 7)  # at most 7! = 5040 permutations per block
-    tail = _lex_table(t)
-    for prefix in itertools.permutations(range(n), n - t):
-        blk = np.empty((n, tail.shape[1]), np.uint8)
-        blk[:n - t] = np.array(prefix, np.uint8).reshape(-1, 1)
-        blk[n - t:] = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)[tail]
-        yield blk
-
-
-def _carriers(blk: np.ndarray, index_sets, order: tuple[int, ...]):
-    """Yield, for each index set e, the mask of the block's permutations
-    whose values at e[order[0]], e[order[1]], ... increase, i.e. those
-    that carry the pattern on e."""
-    for e in index_sets:
-        rows = [blk[e[t]] for t in order]
-        if len(rows) < 2:
-            yield np.ones(blk.shape[1], bool)
-            continue
-        mask = rows[0] < rows[1]
-        for a, b in zip(rows[1:], rows[2:]):
-            mask &= a < b
-        yield mask
-
-
 def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
     """{c: #rows with exactly c occurrences of pi} over a (B, n) block
     of permutations, one per row; counts no row has are left out."""
     n = blk.shape[1]
     k = len(pi)
+    if k < 2:  # every index set carries a pattern of length 0 or 1
+        return {math.comb(n, k): len(blk)} if len(blk) else {}
     count = np.zeros(len(blk), np.min_scalar_type(math.comb(n, k)))  # C(n,k) bounds it
     positions = np.ascontiguousarray(blk.T)  # one row per position
-    for mask in _carriers(positions, itertools.combinations(range(n), k), _value_order(pi)):
+    order = _value_order(pi)
+    for e in itertools.combinations(range(n), k):
+        rows = [positions[e[t]] for t in order]
+        mask = rows[0] < rows[1]
+        for a, b in zip(rows[1:], rows[2:]):
+            mask &= a < b
         count += mask
     return {c: rows for c, rows in enumerate(np.bincount(count).tolist()) if rows}
 
 
-def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
-    """Histogram {c: #sigma in S_n with exactly c occurrences of pi}."""
-    hist = collections.Counter()
-    for blk in _lex_blocks(n):
-        hist.update(occurrence_counts(blk.T, pi))
-    return hist
-
-
 @functools.lru_cache(maxsize=None)
 def _atlas(t: int) -> np.ndarray:
-    """Every comparison a lex block of ``_lex_blocks`` can make, as one
-    bit-packed row over the t! columns of ``_lex_table(t)``: bit j of a
-    row (little-endian within bytes) is column j, and zero bits pad each
-    row to whole uint64 words, the read-only array's dtype.
+    """Every comparison a lex block can make, as one bit-packed row over
+    the t! columns of ``_lex_table(t)``: bit j of a row (little-endian
+    within bytes) is column j, and zero bits pad each row to whole
+    uint64 words, the read-only array's dtype.
 
       * row 0 is never true and row 1 always;
       * row 2 + a*t + b is tail[a] < tail[b];
@@ -225,10 +189,12 @@ def _atlas(t: int) -> np.ndarray:
 
 
 def _block_lookups(n: int):
-    """Yield, for each block of ``_lex_blocks(n)`` in order, its prefix
-    and an (n, n) array whose entry [x, y] is the ``_atlas(t)`` row of
-    sigma[x] < sigma[y] in the block.  The array is overwritten for the
-    next block.
+    """Yield, for each lex block of S_n in order, its prefix and an
+    (n, n) array whose entry [x, y] is the ``_atlas(t)`` row of
+    sigma[x] < sigma[y] in the block.  With t = min(n, 7), the blocks
+    are the (n - t)-value prefixes in lex order, each above the
+    ``_lex_table(t)`` of the t values it leaves.  The array is
+    overwritten for the next block.
 
     The t values the prefix leaves fill the tail in sorted order, so
     two tail positions compare as their lex-table entries do.  A prefix
@@ -236,7 +202,7 @@ def _block_lookups(n: int):
     so v is below the value at tail position b iff tail[b] >= r.  Two
     prefix values compare the same way in every column: row 0 or row 1.
     """
-    t = min(n, 7)
+    t = min(n, 7)  # at most 7! = 5040 permutations per block
     p = n - t
     ge = 2 + t * t + (t + 1) * np.arange(t)  # + r: tail[b] >= r
     lt = ge + t * (t + 1)  # + r: tail[b] < r
@@ -252,7 +218,64 @@ def _block_lookups(n: int):
         yield prefix, rows
 
 
-_ATLAS_CHUNK = 1 << 16  # bytes of atlas rows gathered per chunk of edges
+_CHUNK = 1 << 16  # bytes gathered, ORed or unpacked per chunk
+
+
+def _carried_words(n: int, pi: tuple[int, ...], index_sets):
+    """Yield, for each block of ``_block_lookups(n)``, its prefix and an
+    (E, W) uint64 array: row e holds, as bits packed like an ``_atlas``
+    row, the block's permutations that carry pi on ``index_sets[e]``.
+    The array is overwritten for the next block.
+
+    An index set carries pi where its k - 1 tests sigma[x] < sigma[y],
+    taken in pattern value order, all hold, so its row is an AND of
+    k - 1 atlas rows, gathered in chunks of about ``_CHUNK`` bytes.  For
+    k < 2 every row is atlas row 1.
+    """
+    k = len(pi)
+    atlas = _atlas(min(n, 7))
+    chained = np.array(index_sets, np.intp).reshape(len(index_sets), k)[:, _value_order(pi)]
+    pairs = chained[:, :-1] * n + chained[:, 1:]  # flat [x, y] of each test
+    words = np.empty((len(pairs), atlas.shape[1]), np.uint64)
+    words[:] = atlas[1]  # the rows for k < 2; larger k overwrite them
+    step = max(1, _CHUNK // atlas[0].nbytes)
+    for prefix, lookup in _block_lookups(n):
+        tests = lookup.take(pairs)
+        for s in range(0, len(tests) if k > 1 else 0, step):
+            part = tests[s:s + step]
+            carried = words[s:s + step]
+            # every index is valid; mode "raise" would copy through a buffer
+            np.take(atlas, part[:, 0], axis=0, out=carried, mode="clip")
+            for j in range(1, k - 1):
+                carried &= atlas[part[:, j]]
+        yield prefix, words
+
+
+def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
+    """Histogram {c: #sigma in S_n with exactly c occurrences of pi}.
+
+    Per block, the carried words of all C(n,k) index sets are unpacked
+    in chunks of index sets and summed per permutation.
+
+    >>> copy_count_histogram(3, (0, 1))
+    {0: 1, 1: 2, 2: 2, 3: 1}
+    """
+    if len(pi) < 2:  # every index set carries a pattern of length 0 or 1
+        return {math.comb(n, len(pi)): math.factorial(n)}
+    sets = list(itertools.combinations(range(n), len(pi)))
+    size = math.factorial(min(n, 7))
+    dtype = np.min_scalar_type(len(sets))
+    # int64 holds every tally: n! < 2^63 for n <= 20, far past any pass that ends
+    total = np.zeros(len(sets) + 1, np.int64)
+    for _, words in _carried_words(n, pi, sets):
+        step = max(1, _CHUNK // (64 * words.shape[1]))  # a word unpacks to 64 bytes
+        count = np.zeros(size, dtype)
+        for s in range(0, len(words), step):
+            bits = np.unpackbits(words[s:s + step].view(np.uint8), axis=1, count=size,
+                                 bitorder="little")
+            count += bits.sum(axis=0, dtype=dtype)
+        total += np.bincount(count, minlength=len(total))
+    return {c: m for c, m in enumerate(total.tolist()) if m}
 
 
 def count_avoiders(
@@ -267,40 +290,23 @@ def count_avoiders(
     avoidance.  Returns (count, avoiders or None); avoiders are 0-based
     value tuples in lexicographic order.
 
-    No block of S_n is built and no value compared: an edge carries pi
-    in the permutations where its k - 1 tests sigma[x] < sigma[y], taken
-    in pattern value order, all hold, and ``_block_lookups`` names each
-    test as a row of the cached ``_atlas``.  Per block, the rows of the
-    edges are gathered and ANDed in chunks of at most about
-    ``_ATLAS_CHUNK`` bytes and ORed into one mask of the permutations
-    hit; its zero bits are the avoiders, built only for ``collect``.
+    Per block, the carried words of the edges are ORed into one mask of
+    the permutations hit; its zero bits are the avoiders, built only
+    for ``collect``.
 
     >>> count_avoiders(4, (0, 2, 1), None)
     (14, None)
     >>> count_avoiders(4, (0, 2, 1), ())
     (24, None)
     """
-    k = len(pi)
-    sets = list(itertools.combinations(range(n), k) if edges is None else edges)
+    sets = list(itertools.combinations(range(n), len(pi)) if edges is None else edges)
     out: list[tuple[int, ...]] | None = [] if collect else None
-    if k < 2 and sets:
+    if len(pi) < 2 and sets:
         return 0, out  # every index set carries a pattern of length 0 or 1
-    t = min(n, 7)
-    atlas = _atlas(t)
-    tail = _lex_table(t)
-    chained = np.array(sets, np.intp).reshape(len(sets), k)[:, _value_order(pi)]
-    pairs = chained[:, :-1] * n + chained[:, 1:]  # flat [x, y] of each test
-    step = max(1, _ATLAS_CHUNK // atlas[0].nbytes)
+    tail = _lex_table(min(n, 7))
     count = 0
-    for prefix, lookup in _block_lookups(n):
-        tests = lookup.take(pairs)
-        hit = np.zeros_like(atlas[0])
-        for s in range(0, len(tests), step):
-            part = tests[s:s + step]
-            carried = atlas[part[:, 0]]
-            for j in range(1, k - 1):
-                carried &= atlas[part[:, j]]
-            hit |= np.bitwise_or.reduce(carried, axis=0)
+    for prefix, words in _carried_words(n, pi, sets):
+        hit = np.bitwise_or.reduce(words, axis=0)
         free = np.unpackbits((~hit).view(np.uint8), count=tail.shape[1],
                              bitorder="little").view(bool)
         count += int(np.count_nonzero(free))
@@ -308,9 +314,6 @@ def count_avoiders(
             rest = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)
             out.extend(prefix + row for row in map(tuple, rest[tail[:, free]].T.tolist()))
     return count, out
-
-
-_PLANE = 1 << 16  # (permutations x samples) cells tested per chunk
 
 
 def avoider_counts(
@@ -323,38 +326,30 @@ def avoider_counts(
     block: row s of the (S, C) bool ``lam_block`` marks which of the C
     ``candidates`` index sets are edges of the s-th hypergraph.
 
-    Per lex block of S_n, the index sets that carry pi in each
-    permutation are packed into 64-bit words like the rows of
-    ``lam_block`` (bit i of byte b is index set 8b + i); a permutation
-    avoids over a hypergraph iff their words AND to zero.  Index sets
-    that are an edge of no hypergraph in the block are never tested.
-    The (permutations x samples) plane is tested in chunks of at most
-    about ``_PLANE`` cells.
+    Per block of S_n, each hypergraph's edges select their carried
+    words, ORed into the mask of the permutations it hits; the zero bits
+    are its avoiders.  The (samples x sets x words) plane is ORed in
+    chunks of about ``_CHUNK`` bytes, and index sets that are an edge of
+    no hypergraph in the block are never tested.
     """
     used = lam_block.any(axis=0)
-    candidates = [e for e, u in zip(candidates, used.tolist()) if u]
-    nbytes = 8 * max(1, -(-len(candidates) // 64))  # whole words, at least one
-    lam = np.zeros((len(lam_block), nbytes), np.uint8)
-    lam[:, :(len(candidates) + 7) // 8] = np.packbits(lam_block[:, used], axis=1,
-                                                       bitorder="little")
-    lam = lam.view(np.uint64)
-    counts = np.zeros(len(lam), np.int64)
-    lam_step = min(len(lam), _PLANE) or 1
-    perm_step = max(1, _PLANE // lam_step)
-    order = _value_order(pi)
-    for blk in _lex_blocks(n):
-        carried = np.zeros((nbytes, blk.shape[1]), np.uint8)
-        for j, mask in enumerate(_carriers(blk, candidates, order)):
-            carried[j >> 3] |= mask.view(np.uint8) << (j & 7)
-        carry = np.ascontiguousarray(carried.T).view(np.uint64)
-        for s in range(0, len(lam), lam_step):
-            some = lam[None, s:s + lam_step]
-            for p in range(0, len(carry), perm_step):
-                part = carry[p:p + perm_step, None]
-                free = (part[..., 0] & some[..., 0]) == 0
-                for w in range(1, lam.shape[1]):
-                    free &= (part[..., w] & some[..., w]) == 0
-                counts[s:s + lam_step] += np.count_nonzero(free, axis=0)
+    sets = [e for e, u in zip(candidates, used.tolist()) if u]
+    select = lam_block[:, used].astype(np.uint64) * np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+    size = math.factorial(min(n, 7))
+    counts = np.zeros(len(select), np.int64)
+    for _, words in _carried_words(n, pi, sets):
+        row = 8 * words.shape[1]  # bytes of one index set's words
+        set_step = max(1, _CHUNK // row)
+        # a sample ORs up to set_step rows and unpacks 8 rows' worth of bits
+        sample_step = max(1, _CHUNK // (row * max(8, min(set_step, len(sets)))))
+        for s in range(0, len(select), sample_step):
+            some = select[s:s + sample_step, :, None]
+            hit = np.zeros((len(some), words.shape[1]), np.uint64)
+            for e in range(0, len(sets), set_step):
+                hit |= np.bitwise_or.reduce(some[:, e:e + set_step] & words[e:e + set_step],
+                                            axis=1)
+            bits = np.unpackbits(hit.view(np.uint8), axis=1)
+            counts[s:s + sample_step] += size - np.count_nonzero(bits, axis=1)
     return counts.tolist()
 
 

@@ -248,11 +248,15 @@ def _sides(sigma):
 
 def pattern_counts_closed(sigma):
     """{patterns: their summed copy counts in sigma} for the patterns a
-    middle entry decides, from per-position counts alone: 21 counts the
-    inversions, sum_j L>(j); 123 is sum_j L<(j) R>(j) and 321 is
-    sum_j L>(j) R<(j); the middle entry is the largest of 132 and 231,
-    so their sum is sum_j L<(j) R<(j), and the smallest of 213 and 312,
-    so theirs is sum_j L>(j) R>(j)."""
+    middle, first or last entry decides, from per-position counts
+    alone: 21 counts the inversions, sum_j L>(j); 123 is
+    sum_j L<(j) R>(j) and 321 is sum_j L>(j) R<(j); the middle entry is
+    the largest of 132 and 231, so their sum is sum_j L<(j) R<(j), and
+    the smallest of 213 and 312, so theirs is sum_j L>(j) R>(j).  The
+    first entry is the smallest of 123 and 132, sum_i C(R>(i), 2), and
+    the largest of 312 and 321, sum_i C(R<(i), 2); the last entry is the
+    largest of 123 and 213, sum_k C(L<(k), 2), and the smallest of 231
+    and 321, sum_k C(L>(k), 2)."""
     sides = _sides(sigma)
     return {
         ((2, 1),): sum(lg for _, lg, _, _ in sides),
@@ -260,6 +264,27 @@ def pattern_counts_closed(sigma):
         ((3, 2, 1),): sum(lg * rl for _, lg, rl, _ in sides),
         ((1, 3, 2), (2, 3, 1)): sum(ll * rl for ll, _, rl, _ in sides),
         ((2, 1, 3), (3, 1, 2)): sum(lg * rg for _, lg, _, rg in sides),
+        ((1, 2, 3), (1, 3, 2)): sum(comb(rg, 2) for _, _, _, rg in sides),
+        ((3, 1, 2), (3, 2, 1)): sum(comb(rl, 2) for _, _, rl, _ in sides),
+        ((1, 2, 3), (2, 1, 3)): sum(comb(ll, 2) for ll, _, _, _ in sides),
+        ((2, 3, 1), (3, 2, 1)): sum(comb(lg, 2) for _, lg, _, _ in sides),
+    }
+
+
+def pattern_counts_alone(sigma):
+    """{pattern: its copy count in sigma} for 21 and each pattern of
+    length 3, solved from the sums of ``pattern_counts_closed``: 123 and
+    321 stand alone, and each first- or last-entry sum holds one of them."""
+    sums = pattern_counts_closed(sigma)
+    c123, c321 = sums[((1, 2, 3),)], sums[((3, 2, 1),)]
+    return {
+        (2, 1): sums[((2, 1),)],
+        (1, 2, 3): c123,
+        (3, 2, 1): c321,
+        (1, 3, 2): sums[((1, 2, 3), (1, 3, 2))] - c123,
+        (2, 1, 3): sums[((1, 2, 3), (2, 1, 3))] - c123,
+        (3, 1, 2): sums[((3, 1, 2), (3, 2, 1))] - c321,
+        (2, 3, 1): sums[((2, 3, 1), (3, 2, 1))] - c321,
     }
 
 

@@ -173,8 +173,9 @@ def test_lambda_estimator_is_deterministic_and_close():
 
 def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
     passes = []
-    lex_blocks = kernels._lex_blocks
-    monkeypatch.setattr(kernels, "_lex_blocks", lambda n: passes.append(n) or lex_blocks(n))
+    block_lookups = kernels._block_lookups
+    monkeypatch.setattr(kernels, "_block_lookups",
+                        lambda n: passes.append(n) or block_lookups(n))
     monkeypatch.setattr(kernels, "count_avoiders", None)  # one pass per sample is gone
     samples = 2 * rngutil.BLOCK + 1
     mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), samples, 23)

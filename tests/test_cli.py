@@ -226,6 +226,19 @@ def test_expect_mc_lambda_estimator(capsys):
     assert int(num) >= 0 and (den == "" or int(den) > 0)
 
 
+def test_expect_mc_sigma_refuses_a_mismatched_k(capsys):
+    # The sigma estimator draws no hypergraph, but a --k other than the
+    # pattern length is refused as the lambda estimator and expect do.
+    alpha = ["--pi", "2,1", "--alpha", "1/2"]
+    sigma = ["expect-mc", "--estimator", "sigma", "--samples", "10", *alpha]
+    lam = ["expect-mc", "--estimator", "lambda", "--samples", "10", *alpha]
+    for argv in (sigma, lam, ["expect", *alpha]):
+        code, out, err = run_cli(capsys, *argv, "--n", "5", "--k", "7")
+        assert code == 2 and out == ""
+        assert "uniformity k=7 but pattern has length 2" in err
+    assert run_json(capsys, *sigma, "--n", "5", "--k", "2")["k"] == 2
+
+
 def test_clique_cover_cli(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "hypergraph", "--n", "4", "--k", "2",
                            "--alpha", "1", "--seed", "0")
@@ -579,6 +592,16 @@ GOLDEN_DIGESTS = [
      "846618c2841565b674e490713edf2bd5d5986ec0e496e63e5dbac2d6d0d9dc4d"),
     (["avoiders", "--n", "8", "--pi", "1,3,2", "--lambda-file", "EMPTY"],
      "621f793f8b4f630c358166e63f1b69326d174ebe76274959b198595eb9ea10d1"),
+    # Histograms over several lex blocks of S_8 and S_9: two pattern
+    # lengths, a grid expectation and the m-copy count.
+    (["distribution", "--n", "9", "--pi", "1,3,2"],
+     "a306341be1fa8f5958cfa4606fd9b0c771c75cc0650bd6516ffaf8bcbce041c1"),
+    (["distribution", "--n", "8", "--pi", "2,4,1,3"],
+     "43a27df9616af878d965ca05d301c49d304748fad45016f399275934086cc01e"),
+    (["expect", "--n", "8", "--pi", "2,1", "--alpha-grid", "1/8,1/4,1/2"],
+     "5919d3ee21487589a3c02ff49308f13d40f8bf4523208432a09116844c481b94"),
+    (["snm", "--n", "9", "--m", "2", "--pi", "1,3,2"],
+     "4385d7fe1bf77894276f91754367d3c85306ab56fb123376cdcb7027eb131391"),
 ]
 
 
@@ -596,7 +619,8 @@ GOLDEN_DIGESTS = [
     "expect-mc-lambda-alpha-0", "expect-mc-lambda-alpha-1", "expect-mc-lambda-one-sample",
     "expect-mc-lambda-4097-samples", "expect-mc-lambda-two-words", "expect-mc-lambda-k1",
     "avoiders-132-n9", "avoiders-21-n8", "avoiders-seeded-n9", "avoiders-list-n7",
-    "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges"])
+    "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges", "distribution-132-n9",
+    "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     for name, text in PLACEHOLDERS.items():
         (tmp_path / name).write_text(text)

@@ -242,13 +242,35 @@ def test_atlas_rows_are_the_comparisons_they_name(t):
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8, 9])
 def test_block_lookups_name_each_blocks_comparisons(n):
-    atlas = unpacked_atlas(min(n, 7))[:, :math.factorial(min(n, 7))]
-    blocks = list(kernels._lex_blocks(n))
+    size = math.factorial(min(n, 7))
+    atlas = unpacked_atlas(min(n, 7))[:, :size]
+    perms = np.array(list(permutations(range(n))), np.uint8)  # n = 0: one empty permutation
     lookups = [(prefix, rows.copy()) for prefix, rows in kernels._block_lookups(n)]
-    assert len(lookups) == len(blocks)
-    for (prefix, rows), blk in zip(lookups, blocks):
-        assert blk[:len(prefix)].tolist() == [[v] * blk.shape[1] for v in prefix]
+    assert len(lookups) * size == len(perms)
+    for b, (prefix, rows) in enumerate(lookups):
+        blk = perms[b * size:(b + 1) * size].T  # the b-th lex block, one row per position
+        assert blk[:len(prefix)].tolist() == [[v] * size for v in prefix]
         np.testing.assert_array_equal(atlas[rows], blk[:, None] < blk[None, :])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_carried_words_mark_each_index_sets_carriers(n):
+    size = math.factorial(min(n, 7))
+    perms = np.array(list(permutations(range(n))), np.uint8)
+    for pi in [()] + zero_based_patterns():
+        k = len(pi)
+        sets = list(combinations(range(n), k))
+        # e carries pi iff every pair of its values compares as in pi
+        want = np.ones((len(sets), len(perms)), bool)
+        for row, e in zip(want, sets):
+            for i, j in combinations(range(k), 2):
+                row &= (perms[:, e[i]] < perms[:, e[j]]) == (pi[i] < pi[j])
+        got = [np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+               for _, words in kernels._carried_words(n, pi, sets)]
+        assert len(got) * size == len(perms)
+        for b, bits in enumerate(got):
+            assert not bits[:, size:].any()  # zero padding up to whole words
+            np.testing.assert_array_equal(bits[:, :size], want[:, b * size:(b + 1) * size])
 
 
 def test_count_avoiders_crosses_edge_chunks(monkeypatch):
@@ -261,8 +283,20 @@ def test_count_avoiders_crosses_edge_chunks(monkeypatch):
     # 1300 bytes hold two 632-byte atlas rows at t = 7, so 21 edges
     # leave a half chunk; 1 byte holds one edge per chunk.
     for chunk in [1300, 1]:
-        monkeypatch.setattr(kernels, "_ATLAS_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
         assert [kernels.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases] == want
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_copy_count_histogram_crosses_set_chunks(monkeypatch, n):
+    patterns = [(1, 0), (0, 2, 1), (2, 0, 1), (1, 3, 0, 2)]
+    want = [kernels.copy_count_histogram(n, pi) for pi in patterns]
+    # At t = 7 a set's words take 632 bytes and unpack to 5056: 25280
+    # bytes gather 40 sets and unpack 5.  The C(8,3) = 56 index sets end
+    # in a gather chunk of 16 and an unpack chunk of 1, C(9,3) = 84 in 4s.
+    for chunk in [25280, 1]:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        assert [kernels.copy_count_histogram(n, pi) for pi in patterns] == want
 
 
 def random_lambdas(rng, size, count):
@@ -306,12 +340,14 @@ def test_avoider_counts_match_one_pass_per_hypergraph():
 
 @pytest.mark.parametrize("size", [3, 10])
 def test_avoider_counts_cross_the_plane_chunks(monkeypatch, size):
-    # 7 cells per chunk: 10 samples take two sample chunks, 3 samples
-    # leave room for two permutations per chunk.
-    monkeypatch.setattr(kernels, "_PLANE", 7)
+    # At n = 5 an index set's words take 16 bytes: 40 bytes split the
+    # sets in twos and the samples one by one; 1000 bytes take every set
+    # and split 10 samples over 10 sets (k = 2) as 6 + 4.
     rng = np.random.default_rng(1111 + size)
-    for pi in [(1, 0), (0, 2, 1), (1, 3, 0, 2)]:
-        assert_avoider_counts(5, pi, random_lambdas(rng, size, math.comb(5, len(pi))))
+    for chunk in [40, 1000]:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        for pi in [(1, 0), (0, 2, 1), (1, 3, 0, 2)]:
+            assert_avoider_counts(5, pi, random_lambdas(rng, size, math.comb(5, len(pi))))
 
 
 def test_occurrence_counts_match_oracles_on_blocks():

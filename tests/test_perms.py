@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -244,6 +245,12 @@ def test_count_and_enumerate_refuse_before_walking():
     assert enumerate_occurrences((2, 1), (), cost_ceiling=0) == ((),)
 
 
+def test_closed_forms_match_brute_force_on_s5():
+    for sigma in permutations(range(1, 6)):
+        for pattern, want in oracles.pattern_counts_alone(sigma).items():
+            assert oracles.count_naive(sigma, pattern) == want
+
+
 @pytest.mark.parametrize("n", [40, 57, 80])
 def test_walk_counts_meet_closed_forms_past_brute_force(n):
     rng = random.Random(1000 + n)
@@ -254,8 +261,11 @@ def test_walk_counts_meet_closed_forms_past_brute_force(n):
         assert sum(count_occurrences(sigmas[0], p) for p in patterns) == want
         lam = complete[len(patterns[0])]
         assert sum(count_lambda_occurrences(sigmas[0], p, lam) for p in patterns) == want
-    # The block kernel on both sigmas, one pattern at a time.
-    for patterns in [((2, 1),), ((1, 2, 3),), ((3, 2, 1),)]:
-        (pattern,) = patterns
-        want = Counter(oracles.pattern_counts_closed(s)[patterns] for s in sigmas)
-        assert kernels.occurrence_counts(blk, tuple(v - 1 for v in pattern)) == want
+    # Each pattern alone: the walks on the first sigma and the block
+    # kernel on both.
+    alone = [oracles.pattern_counts_alone(s) for s in sigmas]
+    for pattern, want in alone[0].items():
+        assert count_occurrences(sigmas[0], pattern) == want
+        assert count_lambda_occurrences(sigmas[0], pattern, complete[len(pattern)]) == want
+        tally = kernels.occurrence_counts(blk, tuple(v - 1 for v in pattern))
+        assert tally == Counter(counts[pattern] for counts in alone)
