@@ -229,8 +229,9 @@ def _carried_words(n: int, pi: tuple[int, ...], index_sets):
 
     An index set carries pi where its k - 1 tests sigma[x] < sigma[y],
     taken in pattern value order, all hold, so its row is an AND of
-    k - 1 atlas rows, gathered in chunks of about ``_CHUNK`` bytes.  For
-    k < 2 every row is atlas row 1.
+    k - 1 atlas rows.  For k < 2 every row is atlas row 1.  The array
+    itself takes 632 bytes per index set at t = 7, 80 KB for all C(9, 4)
+    sets; the rows are gathered in chunks of about ``_CHUNK`` bytes.
     """
     k = len(pi)
     atlas = _atlas(min(n, 7))
@@ -260,8 +261,6 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     >>> copy_count_histogram(3, (0, 1))
     {0: 1, 1: 2, 2: 2, 3: 1}
     """
-    if len(pi) < 2:  # every index set carries a pattern of length 0 or 1
-        return {math.comb(n, len(pi)): math.factorial(n)}
     sets = list(itertools.combinations(range(n), len(pi)))
     size = math.factorial(min(n, 7))
     dtype = np.min_scalar_type(len(sets))
