@@ -28,7 +28,6 @@ from .extremal import (
     SnaBudgetReport,
     SnaFamily,
     count_snm,
-    easy_bound_check,
     extremal_block_diagonal,
     max_ones_avoiding,
     min_copies_brute,
@@ -114,7 +113,6 @@ __all__ = [
     "count_snm",
     "delta_ell",
     "densities",
-    "easy_bound_check",
     "enumerate_avoiders",
     "enumerate_occurrences",
     "enumerate_permutations",

@@ -327,7 +327,7 @@ def _cmd_preimage(args):
 
 
 def _cmd_extremal(args):
-    m = extremal.extremal_block_diagonal(args.n, args.a)
+    m = extremal.extremal_block_diagonal(args.n, args.a, args.subset_ceiling)
     report = {
         "n": args.n,
         "a": args.a,

@@ -15,7 +15,9 @@ environment variables:
                               C(n,k) candidate edges listed by
                               hypergraph and lambda-star       (default 500000)
     PERMAVOID_SUBSET_CEILING  max candidate-subset count for
-                              exact independent-set counting   (default 5000000)
+                              exact independent-set counting,
+                              max n^2 cells of the extremal
+                              matrix                           (default 5000000)
     PERMAVOID_COST_CEILING    max C(n,k) * k for the occurrences
                               of one permutation, samples * n!
                               * C(n,k) * k for hypergraph
@@ -25,8 +27,9 @@ environment variables:
                               sampling, C(rows,k) * k * cols
                               for the exact copy density of a
                               matrix and the copies counted by
-                              extremal --pi, states * 2^n for
-                              the max-ones row-transfer search (default 5e9)
+                              extremal --pi, the sum over states
+                              of 2^n plus the state's bytes
+                              for the max-ones row transfer    (default 5e9)
 """
 
 from __future__ import annotations

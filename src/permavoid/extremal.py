@@ -17,6 +17,7 @@ how many pattern copies:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import kernels, rngutil
 from .config import LIMITS, check_ceiling, check_enum_cap, check_matrix_cap
-from .errors import DimensionMismatchError
-from .matrices import BinaryMatrix, count_matrix_copies
+from .matrices import BinaryMatrix
 from .perms import PermLike, Permutation, as_permutation, copy_count_distribution
 
 
@@ -59,8 +59,9 @@ def max_ones_avoiding(
     the optimum they report.  ``method="exhaustive"`` is gated by the
     matrix cap; its witness is the optimum of least mask value (cell
     (i, j) is bit i*n + j).  ``method="search"`` is gated by the
-    enumeration cap and ``cost_ceiling`` (2^n per state); its witness is
-    the lex-greatest optimum in row-major cell order.
+    enumeration cap; its witness is the lex-greatest optimum in
+    row-major cell order.  Both are gated by ``cost_ceiling``, charged
+    2^n plus the state's bytes per state of the program.
 
     >>> max_ones_avoiding(2, (1, 2)).max_ones
     3
@@ -76,7 +77,7 @@ def max_ones_avoiding(
         # the least mask value has its last row most significant: on the
         # flipped matrix it is the first optimum in ascending row order.
         witness = _max_ones_row_transfer(
-            n, p.zero_based[::-1], math.inf, range(1 << n)).flip_rows()
+            n, p.zero_based[::-1], cost_ceiling, range(1 << n)).flip_rows()
     elif method == "search":
         check_enum_cap(n, cap)
         # Column 0 most significant, 1 before 0.
@@ -96,7 +97,7 @@ def max_ones_avoiding(
 
 
 def _max_ones_row_transfer(
-    n: int, pi0: tuple[int, ...], cost_ceiling: "int | float | None", order
+    n: int, pi0: tuple[int, ...], cost_ceiling: int | None, order
 ) -> BinaryMatrix:
     """Dynamic program over rows for the most ones with no copy of pi0.
 
@@ -104,8 +105,23 @@ def _max_ones_row_transfer(
     only the partial embeddings they realise: columns order-isomorphic
     to pi0[:t], t < k, each numbered e = (t << n) | column set.  A state
     S is the bitset of those numbers, and ``best(i, S)`` the most ones
-    rows i.. can add to it without completing an embedding; each new
-    state is charged 2^n against the cost ceiling.
+    rows i.. can add to it without completing an embedding.
+
+    A state keeps only its undominated embeddings.  With sorted columns
+    u_0 < ... < u_{t-1}, u_{-1} = -1 and u_t = n, a later pattern row s
+    lands in gap g = #{r < t : pi0[r] < pi0[s]}, between u_{g-1} and
+    u_g.  An embedding U' with the same t dominates U when each of these
+    needed gaps of U' contains that of U, ties going to the smaller
+    number.  Every completion of U then completes U', and dominance is
+    a strict partial order, so each dropped embedding has an undominated
+    dominator in the state.  The row sequences a state forbids, its kill
+    set among them, are therefore unchanged, and ``best()`` depends on
+    nothing else: its values, and with them the witness, stay the same,
+    and only fewer states are met.  A child drops every embedding that
+    one of its own dominates: those its parent's embeddings dominate
+    and, per column of the row mask, those the embeddings added through
+    that column dominate.  Each new state is charged 2^n, the masks it
+    scans, plus its bitset's size in bytes against the cost ceiling.
 
     The witness takes, row by row, the first optimal mask in ``order``,
     a sequence of all 2^n row masks.  Masks of equal ones are tried in
@@ -113,41 +129,69 @@ def _max_ones_row_transfer(
     """
     k, unit = len(pi0), 1 << n
     by_ones = [(m, m.bit_count()) for m in sorted(order, key=int.bit_count, reverse=True)]
-    bits = [[1 << j for j in range(n) if m >> j & 1] for m in range(unit)]
+    columns = [[j for j in range(n) if m >> j & 1] for m in range(unit)]
     rank = [sum(v < pi0[t] for v in pi0[:t]) for t in range(k)]
+    gaps = [sorted({sum(v < pi0[s] for v in pi0[:t]) for s in range(t, k)}) for t in range(k)]
     allowed: dict[int, int] = {}  # embedding -> the columns that extend it
+    keys: dict[int, list] = {}  # t -> (embedding, needed-gap bounds) for every t columns
+    beaten: dict[int, int] = {}  # embedding -> the embeddings it dominates
     memo: list[dict[int, int]] = [{} for _ in range(n)]
     spent = 0
 
+    def needed(t, cols):
+        edge = (-1, *cols, n)
+        return [b for g in gaps[t] for b in (-edge[g], edge[g + 1])]
+
+    def dominates(e):
+        if e not in beaten:
+            t, used = divmod(e, unit)
+            if t not in keys:
+                keys[t] = [(sum(1 << j for j in cols) | t << n, needed(t, cols))
+                           for cols in combinations(range(n), t)]
+            own, mask = needed(t, columns[used]), 0
+            for f, key in keys[t]:
+                if all(map(operator.ge, own, key)) and (own != key or e < f):
+                    mask |= 1 << f
+            beaten[e] = mask
+        return beaten[e]
+
     def expand(state):
-        kill, grow = 0, []  # columns completing a copy; (child base, columns)
+        # The columns completing a copy, the embeddings the state
+        # dominates, and per column j the embeddings j adds and those
+        # they dominate.
+        kill, below, adds, drops = 0, 0, [0] * n, [0] * n
         while state:
             e = (state & -state).bit_length() - 1
             state &= state - 1
             if e not in allowed:
                 t, used = divmod(e, unit)
-                cols = [j for j in range(n) if used >> j & 1]
+                cols = columns[used]
                 lo = cols[rank[t] - 1] if rank[t] else -1
                 hi = cols[rank[t]] if rank[t] < t else n
                 allowed[e] = (1 << hi) - (1 << (lo + 1))
+            below |= dominates(e)
             if e >> n == k - 1:
                 kill |= allowed[e]
             else:
-                grow.append((e + unit, allowed[e]))
-        return kill, grow
+                for j in columns[allowed[e]]:
+                    child = e + unit + (1 << j)
+                    adds[j] |= 1 << child
+                    drops[j] |= dominates(child)
+        return kill, (below, adds, drops)
 
     def step(state, grow, mask):
-        for e, a in grow:
-            for b in bits[a & mask]:
-                state |= 1 << (e + b)
-        return state
+        below, adds, drops = grow
+        for j in columns[mask]:
+            state |= adds[j]
+            below |= drops[j]
+        return state & ~below
 
     def best(i, state):
         nonlocal spent
         if i == n:
             return 0
         if state not in memo[i]:
-            spent += unit
+            spent += unit + (state.bit_length() + 7) // 8
             check_ceiling("cost_ceiling", spent, cost_ceiling, LIMITS.mc_cost_ceiling)
             kill, grow = expand(state)
             rest, top = n * (n - 1 - i), -1
@@ -171,19 +215,6 @@ def _max_ones_row_transfer(
         rows.append(m)
         state = nxt
     return BinaryMatrix(n, n, tuple(rows))
-
-
-def easy_bound_check(m: BinaryMatrix, pi: PermLike, c: "Fraction | int | str") -> bool:
-    """True iff the copy count of pi in ``m`` is at least ones - c*n.
-
-    This is the linear supersaturation floor: with c at least the
-    extremal ratio for this pattern and size, deleting one 1 kills at
-    most one copy, so the inequality holds for every matrix.
-    """
-    if m.rows != m.cols:
-        raise DimensionMismatchError(f"need a square matrix, got {m.rows}x{m.cols}")
-    c = Fraction(c)
-    return count_matrix_copies(m, pi) >= m.ones - c * m.rows
 
 
 @dataclass(frozen=True)
@@ -248,12 +279,13 @@ def min_copies_brute(
     )
 
 
-def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
+def extremal_block_diagonal(n: int, a: int, ceiling: int | None = None) -> BinaryMatrix:
     """The diagonal-blocks matrix: n/(a/n) all-ones blocks of side a/n
     along the diagonal, a ones in total.
 
     Requires n | a and a | n^2 so the blocks tile; callers wanting
-    other (n, a) adjust them by a constant factor first.
+    other (n, a) adjust them by a constant factor first.  Its n^2 cells
+    are charged against the subset ceiling before it is built.
 
     >>> extremal_block_diagonal(4, 8).row_lines()
     ['1100', '1100', '0011', '0011']
@@ -264,6 +296,7 @@ def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
         raise ValueError(f"n={n} must divide a={a} (block side a/n)")
     if (n * n) % a:
         raise ValueError(f"a={a} must divide n^2={n * n} (whole number of blocks)")
+    check_ceiling("subset_ceiling", n * n, ceiling, LIMITS.subset_ceiling)
     side = a // n
     block = (1 << side) - 1
     bits = tuple(block << (side * (i // side)) for i in range(n))

@@ -311,6 +311,24 @@ def test_extremal_copy_count_is_gated(capsys):
     assert code == 0
 
 
+def test_extremal_report_is_gated(capsys):
+    # The report prints all n^2 cells: 9M at n = 3000, past the default
+    # subset ceiling of 5M, so it is refused before the matrix is built.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "extremal", "--n", "3000", "--a", "3000")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "subset_ceiling" in err
+    # 100^2 cells: the ceiling is inclusive.
+    for ceiling, want in [("9999", 3), ("10000", 0)]:
+        code, _, _ = run_cli(capsys, "extremal", "--n", "100", "--a", "100",
+                             "--subset-ceiling", ceiling)
+        assert code == want
+    # Invalid input is still refused first, with exit 2.
+    code, _, _ = run_cli(capsys, "extremal", "--n", "3000", "--a", "3001")
+    assert code == 2
+
+
 def test_hypergraph_and_lambda_star_charge_their_candidates(capsys, monkeypatch):
     # Both list all C(n,k) candidate edges, charged against the edge
     # ceiling: C(1001,2) = 500,500 is one past the default 500,000.
@@ -372,6 +390,18 @@ def test_max_ones_search_cost_is_gated(capsys):
                              "--mode", "search", "--cost-ceiling", "1")
     assert code == 3 and out == ""
     assert "enum_cap" in err
+
+
+def test_max_ones_charges_each_state_its_masks_and_bytes(capsys):
+    # n = 1, pattern 1: one state, {the empty embedding}, charged
+    # 2^1 masks plus its 1-byte bitset.  Both modes are gated, and the
+    # ceiling is inclusive.
+    for mode in ("search", "exhaustive"):
+        for ceiling, want in [("2", 3), ("3", 0)]:
+            code, out, err = run_cli(capsys, "max-ones", "--n", "1", "--pi", "1",
+                                     "--mode", mode, "--cost-ceiling", ceiling)
+            assert code == want
+            assert ("cost_ceiling" in err) == (want == 3)
 
 
 def test_sna_cli(capsys):
@@ -520,9 +550,21 @@ GOLDEN_DIGESTS = [
      "df812ef6f195e08a5fe7daf91cc375b5ccb9b20fffb57c0e0fbb6d5315204f3a"),
     (["max-ones", "--n", "1", "--pi", "1", "--mode", "search"],
      "fa53c2d0bf723c6d191f98a472e9286b18b682d639f847fa03909c2808c21df7"),
+    # Past brute force: 132 at n = 6 and 7, and a pattern of length 4.
+    (["max-ones", "--n", "6", "--pi", "1,3,2", "--mode", "search"],
+     "007fde54efcb5c4bf93f237b7cd5d32c3c63e51f4d4b4d75153daa70abb6b445"),
+    (["max-ones", "--n", "7", "--pi", "1,3,2", "--mode", "search"],
+     "c1948318ee54dedb1aeed50139bfe0406ff103df87a8c94e51bf8654261c4d95"),
+    (["max-ones", "--n", "5", "--pi", "2,4,1,3", "--mode", "search"],
+     "1bc97f7abe83d2c3de5200b4da7d8e272d84c11d67fadfdc107c4e9a0a888f96"),
     # k > n: the full matrix holds no copy.
     (["max-ones", "--n", "2", "--pi", "1,2,3", "--mode", "search"],
      "a960ce6ad94a3077b74c5279d352c180634c1de1d90ae10cf79508b77220f850"),
+    # The diagonal-blocks construction, with and without its copy count.
+    (["extremal", "--n", "4", "--a", "8", "--pi", "2,1"],
+     "b67f60ab18cc19df32e55c7f399bd13c9ac9f0b92f1195e7136b9acea5c22a13"),
+    (["extremal", "--n", "6", "--a", "12"],
+     "fcd4acc24e979b77fd758f7fcd07a3028591edda3f4e7e8d532c22210695f434"),
     # The supersaturation floor and its first minimising witness.
     (["min-copies", "--n", "4", "--pi", "1,2", "--a-grid", "5,6,7,8,9,10"],
      "59ad7e4206e0982fdec0a85f438ddbbb110b86a55038245910bbe313d1ab85d1"),
@@ -610,7 +652,9 @@ GOLDEN_DIGESTS = [
     "expect-grid-json", "expect-grid-csv", "expect-mc-sigma-alpha-0",
     "expect-mc-sigma-alpha-1", "expect-mc-sigma-one-sample",
     "max-ones-123-n5", "max-ones-321-n5", "max-ones-12-n6", "max-ones-12-n4",
-    "max-ones-132-n5", "max-ones-1-n1", "max-ones-123-n2", "min-copies-12-n4",
+    "max-ones-132-n5", "max-ones-132-n6", "max-ones-132-n7", "max-ones-2413-n5",
+    "max-ones-1-n1", "max-ones-123-n2", "extremal-21-n4", "extremal-n6",
+    "min-copies-12-n4",
     "min-copies-132-n3-json", "min-copies-132-n3-csv",
     "max-ones-exhaustive-12-n3", "max-ones-exhaustive-12-n4", "max-ones-exhaustive-21-n3",
     "max-ones-exhaustive-21-n4", "max-ones-exhaustive-132-n3", "max-ones-exhaustive-132-n4",

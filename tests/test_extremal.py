@@ -10,7 +10,6 @@ from permavoid import (
     Permutation,
     count_matrix_copies,
     count_snm,
-    easy_bound_check,
     extremal_block_diagonal,
     max_ones_avoiding,
     min_copies_brute,
@@ -75,13 +74,22 @@ def test_exhaustive_witness_is_least_mask_optimum(n, k):
 @pytest.mark.parametrize("pattern,n", [
     (p, n) for p in [(1, 2), (2, 1)] for n in (6, 7, 8)
 ] + [
-    (p, n) for p in [(1, 2, 3), (3, 2, 1)] for n in (5, 6)
+    (p, n) for p in [(1, 2, 3), (3, 2, 1)] for n in (5, 6, 9)
 ], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
 def test_search_meets_identity_formula_past_brute_force(pattern, n):
     rep = max_ones_avoiding(n, pattern, method="search")
     want = oracles.ex_identity(n, len(pattern))
     assert rep.max_ones == rep.witness.ones == want
     assert count_matrix_copies(rep.witness, pattern) == 0
+
+
+def test_search_reaches_132_at_n8_under_the_default_ceiling():
+    # Without dropping dominated embeddings the program would meet
+    # millions of states here; it meets a few thousand.  The value is
+    # 4n - 4, the identity formula's for k = 3.
+    rep = max_ones_avoiding(8, (1, 3, 2), method="search")
+    assert rep.max_ones == rep.witness.ones == 28
+    assert count_matrix_copies(rep.witness, (1, 3, 2)) == 0
 
 
 def test_max_ones_validation_and_caps():
@@ -92,17 +100,6 @@ def test_max_ones_validation_and_caps():
     with pytest.raises(CapExceededError):
         max_ones_avoiding(3, (1, 2), cap=2)  # explicit caps may also lower
     assert max_ones_avoiding(4, (1, 2), cap=4).max_ones == 7  # ex = 2n-1
-
-
-def test_easy_bound_check():
-    # With c = ex(n, pattern)/n the bound count >= ones - c*n must hold
-    # for every square matrix; try the extremes.
-    c = Fraction(max_ones_avoiding(3, (1, 2)).max_ones, 3)
-    assert easy_bound_check(BinaryMatrix.filled(3, 3), (1, 2), c)
-    assert easy_bound_check(BinaryMatrix.zeros(3, 3), (1, 2), c)
-    assert easy_bound_check(permutation_matrix((3, 1, 2)), (1, 2), c)
-    # A deliberately tiny c breaks on the full matrix: 9 copies < 9 - 0.
-    assert not easy_bound_check(BinaryMatrix.filled(3, 3), (1, 2), Fraction(-1))
 
 
 # ---------------------------------------------------------- min copies
