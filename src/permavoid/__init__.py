@@ -1,11 +1,13 @@
 """permavoid: exact combinatorics of pattern avoidance over hypergraphs.
 
-Permutation patterns, 0-1 matrix containment, avoidance restricted to
-hypergraph edge sets, block contractions, extremal searches, and the
-grid-hypergraph formulation — all exact, seeded, and desk-scale.
+Permutation patterns, copies of permutation matrices in 0-1 matrices,
+avoidance restricted to hypergraph edge sets, block contractions,
+extremal searches, and the grid-hypergraph formulation — all exact,
+seeded, and desk-scale.
 
-The counting kernels are Python and numpy, all in one module,
-``permavoid.kernels``.
+``__all__`` is the library surface: what the subcommands, the README
+and the acceptance tests reach.  The counting kernels are Python and
+numpy, all in one module, ``permavoid.kernels``.
 """
 
 from .avoidance import (
@@ -48,7 +50,6 @@ from .gridhg import (
 from .hypergraphs import (
     CliqueCover,
     KUniformHypergraph,
-    max_clique_size,
     multipartite_lambda_star,
     random_uniform_hypergraph,
     validate_clique_cover,
@@ -59,16 +60,13 @@ from .matrices import (
     SamplingReport,
     count_matrix_copies,
     densities,
-    matrix_contains,
     permutation_matrix,
-    random_submatrix,
     sampling_estimates,
 )
 from .perms import (
     CopyCountDistribution,
     Permutation,
     as_permutation,
-    contains,
     copy_count_distribution,
     count_occurrences,
     enumerate_occurrences,
@@ -102,7 +100,6 @@ __all__ = [
     "build_h",
     "canonical_permutation",
     "canonical_set",
-    "contains",
     "contract2",
     "contract_b",
     "copy_count_distribution",
@@ -121,8 +118,6 @@ __all__ = [
     "flat_index",
     "is_independent",
     "lambda_contains",
-    "matrix_contains",
-    "max_clique_size",
     "max_ones_avoiding",
     "mc_expected_avoiders_by_lambda",
     "mc_expected_avoiders_by_sigma",
@@ -130,7 +125,6 @@ __all__ = [
     "multipartite_lambda_star",
     "permutation_matrix",
     "preimage_count_contract2",
-    "random_submatrix",
     "random_uniform_hypergraph",
     "sampling_estimates",
     "sna_copy_budget",

@@ -339,14 +339,6 @@ class SnaFamily:
     r: int
     size: int
 
-    def _block_ranges(self) -> list[range]:
-        blocks = [
-            range(j * self.a + 1, (j + 1) * self.a + 1) for j in range(self.q)
-        ]
-        if self.r:
-            blocks.append(range(self.q * self.a + 1, self.n + 1))
-        return blocks
-
     def member_blocks(self, cap: int | None = None) -> Iterator[np.ndarray]:
         """All members in lexicographic order, as (B, n) blocks of
         0-based values (uint8 up to n = 255) with B <= ``rngutil.BLOCK``,
@@ -354,7 +346,9 @@ class SnaFamily:
         mixed-radix digits of t, one lex rank per run, the last run
         fastest."""
         check_enum_cap(self.n, cap)
-        runs = self._block_ranges()
+        runs = [range(j * self.a + 1, (j + 1) * self.a + 1) for j in range(self.q)]
+        if self.r:
+            runs.append(range(self.q * self.a + 1, self.n + 1))
         dtype = np.min_scalar_type(self.n)  # holds the 1-based values too
         for start in range(0, self.size, rngutil.BLOCK):
             rank = np.arange(start, min(start + rngutil.BLOCK, self.size))
@@ -369,18 +363,6 @@ class SnaFamily:
         for blk in self.member_blocks(cap):
             for values in (blk + 1).tolist():
                 yield Permutation(tuple(values))
-
-    def contains_member(self, sigma: PermLike) -> bool:
-        s = as_permutation(sigma)
-        if len(s) != self.n:
-            return False
-        pos = 0
-        for block in self._block_ranges():
-            width = len(block)
-            if sorted(s.values[pos : pos + width]) != list(block):
-                return False
-            pos += width
-        return True
 
 
 def sna_family(n: int, a: int) -> SnaFamily:

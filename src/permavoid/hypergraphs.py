@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rngutil
-from .config import LIMITS, check_ceiling, check_enum_cap
+from .config import LIMITS, check_ceiling
 from .errors import CliqueCoverError, DimensionMismatchError
 from .perms import as_int
 
@@ -96,9 +96,6 @@ class KUniformHypergraph:
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edge_set
-
     def is_complete(self) -> bool:
         return len(self.edges) == math.comb(self.n, self.k)
 
@@ -124,15 +121,9 @@ class KUniformHypergraph:
             raise ValueError(f"edges must be a list of vertex lists, got {edges!r}")
         return cls(n=data["n"], k=data["k"], edges=tuple(edges))
 
-    def to_text(self) -> str:
-        """Text format: a "n k" header, then one sorted edge per line."""
-        lines = [f"{self.n} {self.k}"]
-        for e in self.edges:
-            lines.append(" ".join(str(v) for v in e))
-        return "\n".join(lines)
-
     @classmethod
     def from_text(cls, text: str) -> "KUniformHypergraph":
+        """Text format: a "n k" header, then one edge per line."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ValueError("line 1: missing 'n k' header")
@@ -266,35 +257,3 @@ def validate_clique_cover(
         max_membership=max(membership.values()),
     )
 
-
-def max_clique_size(h: KUniformHypergraph, cap: int | None = None) -> int:
-    """Largest vertex set whose k-subsets are all edges, by branch and
-    bound.  Sets smaller than k are cliques vacuously, so the result
-    is at least min(n, k-1).  Gated by the enumeration cap.
-    """
-    check_enum_cap(h.n, cap)
-    best = min(h.n, h.k - 1)
-    edge_set = h.edge_set
-    k = h.k
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        for v in range(start, h.n + 1):
-            if len(chosen) + (h.n - v + 1) <= best:
-                break  # not enough vertices left to beat the record
-            if len(chosen) >= k - 1:
-                ok = all(
-                    tuple(sorted(sub + (v,))) in edge_set
-                    for sub in combinations(chosen, k - 1)
-                )
-                if not ok:
-                    continue
-            chosen.append(v)
-            extend(v + 1)
-            chosen.pop()
-
-    extend(1)
-    return best

@@ -26,8 +26,7 @@ table of copy masks when its nonzero rows hold at most 64 cells, and
 past that ``matrix_copy_counts`` on a block of one, a numpy sweep over
 chunks of row subsets.  ``occurrences``, the one walk over the
 occurrences of a pattern in one permutation (all of them, or those on
-given edges), and ``matrix_contains_perm`` are plain Python; a
-containment test stops at the first occurrence or copy.
+given edges), is plain Python.
 
 ``BACKEND`` names the implementation, ``"python"``, for run reports.
 The public callables are the kernels alone, and the standard-library
@@ -478,43 +477,3 @@ def matrix_copy_counts(blk: np.ndarray, pi: tuple[int, ...]) -> list[int]:
             f *= slab[j:j + width, j]
         total += f.sum(axis=(0, 1), dtype=dtype)
     return total.tolist()
-
-
-def matrix_contains_perm(
-    row_bits: tuple[int, ...], ncols: int, pi: tuple[int, ...]
-) -> bool:
-    """True iff the matrix contains the pattern's permutation matrix.
-
-    Per row k-subset, ``reach`` holds the columns where an increasing
-    chain through the rows in value order can end; Python ints make it
-    exact at any width.  It returns at the first copy, so on a large
-    matrix that holds one it does far less work than counting them all
-    with ``count_matrix_copies``.
-    """
-    k = len(pi)
-    if k == 0:
-        return True
-    rows = [b for b in row_bits if b]
-    if k > len(rows) or k > ncols:
-        return False
-    order = _value_order(pi)
-    nrows = len(rows)
-    sel = [0] * k
-
-    def rec(depth: int, start: int) -> bool:
-        for x in range(start, nrows - (k - depth) + 1):
-            sel[depth] = rows[x]
-            if depth == k - 1:
-                reach = sel[order[0]]
-                for j in range(1, k):
-                    if not reach:
-                        break
-                    # ~(reach ^ (reach - 1)): every bit above the lowest set one
-                    reach = sel[order[j]] & ~(reach ^ (reach - 1))
-                if reach:
-                    return True
-            elif rec(depth + 1, x + 1):
-                return True
-        return False
-
-    return rec(0, 0)

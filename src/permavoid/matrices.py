@@ -1,4 +1,4 @@
-"""0-1 matrices, permutation-matrix containment, and copy counting.
+"""0-1 matrices and permutation-matrix copy counting.
 
 The matrix of a permutation sigma has a 1 at (i, sigma(i)).  A matrix
 A contains the pattern matrix of pi when some k rows x_1 < ... < x_k
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import kernels, rngutil
 from .config import LIMITS, check_ceiling
@@ -155,18 +153,6 @@ class BinaryMatrix:
         """
         return BinaryMatrix(self.rows, self.cols, self.row_bits[::-1])
 
-    def set_entry(self, i: int, j: int, value: int) -> "BinaryMatrix":
-        """A copy with 1-based entry (i, j) set to 0 or 1."""
-        if value not in (0, 1):
-            raise ValueError(f"value must be 0/1, got {value!r}")
-        self.entry(i, j)  # bounds check
-        bits = list(self.row_bits)
-        if value:
-            bits[i - 1] |= 1 << (j - 1)
-        else:
-            bits[i - 1] &= ~(1 << (j - 1))
-        return BinaryMatrix(self.rows, self.cols, tuple(bits))
-
 
 def permutation_matrix(sigma: PermLike) -> BinaryMatrix:
     """The n x n matrix with a 1 at (i, sigma(i)) for each i.
@@ -177,34 +163,6 @@ def permutation_matrix(sigma: PermLike) -> BinaryMatrix:
     s = as_permutation(sigma)
     n = len(s)
     return BinaryMatrix(n, n, tuple(1 << (v - 1) for v in s.values))
-
-
-def _pattern_of(p: "BinaryMatrix | PermLike") -> Permutation:
-    """Accept a pattern as a permutation or as its permutation matrix."""
-    if isinstance(p, BinaryMatrix):
-        if p.rows != p.cols:
-            raise ValueError("pattern matrix must be square")
-        vals = []
-        for i, b in enumerate(p.row_bits, start=1):
-            if b.bit_count() != 1:
-                raise ValueError(
-                    f"pattern row {i} has {b.bit_count()} ones; only "
-                    "permutation-matrix patterns are supported"
-                )
-            vals.append(b.bit_length())
-        return Permutation(tuple(vals))
-    return as_permutation(p)
-
-
-def matrix_contains(a: BinaryMatrix, pattern: "BinaryMatrix | PermLike") -> bool:
-    """True iff ``a`` contains the permutation-matrix pattern.
-
-    The pattern may be given as a permutation or as a square 0-1
-    matrix with exactly one 1 per row and column; anything else is
-    rejected.
-    """
-    p = _pattern_of(pattern)
-    return kernels.matrix_contains_perm(a.row_bits, a.cols, p.zero_based)
 
 
 def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
@@ -273,28 +231,6 @@ def _ratio(part: int, whole: int) -> Fraction:
 def _check_sample_size(a: BinaryMatrix, r: int) -> None:
     if not (0 <= r <= a.rows and r <= a.cols):
         raise ValueError(f"r={r} exceeds matrix dimensions {a.rows}x{a.cols}")
-
-
-def random_submatrix(
-    a: BinaryMatrix, r: int, rng: "np.random.Generator | int"
-) -> BinaryMatrix:
-    """The submatrix induced by r uniformly random rows and columns.
-
-    Rows are drawn first, then columns, each as a uniform r-subset;
-    the induced submatrix keeps the original relative order.  ``rng``
-    may be a seed or a generator from :func:`permavoid.rngutil.generator`.
-    This is one trial of the draws :func:`sampling_estimates` makes.
-    """
-    _check_sample_size(a, r)
-    if isinstance(rng, int):
-        rng = rngutil.generator(rng)
-    row_sets, col_sets = next(rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, 1))
-    cols = col_sets[0].tolist()
-    bits = tuple(
-        sum(((a.row_bits[i] >> j) & 1) << jj for jj, j in enumerate(cols))
-        for i in row_sets[0].tolist()
-    )
-    return BinaryMatrix(r, r, bits)
 
 
 def check_sampling(

@@ -42,8 +42,6 @@ class Permutation:
     >>> p = Permutation((2, 4, 1, 3))
     >>> p(1), p(2)
     (2, 4)
-    >>> p.inverse().values
-    (3, 1, 4, 2)
     >>> len(Permutation(()))
     0
     """
@@ -112,17 +110,6 @@ class Permutation:
         """
         return Permutation(self.values[::-1])
 
-    def complement(self) -> "Permutation":
-        """Flip the values: v -> n+1-v."""
-        n = len(self.values)
-        return Permutation(tuple(n + 1 - v for v in self.values))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.values)
-        for i, v in enumerate(self.values):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
 
 PermLike = Permutation | Iterable[int]
 
@@ -132,22 +119,6 @@ def as_permutation(p: PermLike) -> Permutation:
     if isinstance(p, Permutation):
         return p
     return Permutation(tuple(p))
-
-
-def contains(sigma: PermLike, pi: PermLike) -> bool:
-    """True iff sigma contains the pattern pi.
-
-    The empty pattern is contained vacuously; a pattern longer than
-    sigma never is.
-
-    >>> contains((2, 3, 1), (1, 2))
-    True
-    >>> contains((3, 2, 1), (1, 2))
-    False
-    """
-    s = as_permutation(sigma)
-    p = as_permutation(pi)
-    return next(kernels.occurrences(s.zero_based, p.zero_based), None) is not None
 
 
 def _walk(sigma: PermLike, pi: PermLike, cost_ceiling: int | None):
@@ -233,9 +204,6 @@ class CopyCountDistribution:
         """Number of permutations with at most m copies."""
         return sum(v for c, v in self.histogram.items() if c <= m)
 
-    def max_count(self) -> int:
-        return max(self.histogram)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -244,16 +212,6 @@ class CopyCountDistribution:
                 str(c): str(self.histogram[c]) for c in sorted(self.histogram)
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CopyCountDistribution":
-        """Inverse of ``to_json_dict``, whose histogram holds decimal
-        strings; floats and bools are refused rather than truncated."""
-        return cls(
-            n=as_int(data["n"], "n"),
-            pattern=Permutation.from_text(data["pattern"]),
-            histogram={int(str(c)): int(str(v)) for c, v in data["histogram"].items()},
-        )
 
 
 def copy_count_distribution(

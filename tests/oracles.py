@@ -7,7 +7,7 @@ can be checked against code that shares nothing with them.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, comb
+from math import ceil, comb, factorial, prod
 
 
 def order_isomorphic(values, pattern):
@@ -57,6 +57,27 @@ def avoiders_naive(n, pi, edges):
         for sigma in permutations(range(1, n + 1))
         if lambda_count_naive(sigma, pi, edges) == 0
     ]
+
+
+def clique_edges(blocks, k):
+    """The union of the complete k-graphs on the given disjoint vertex
+    sets, as sorted k-tuples in lex order."""
+    return sorted(e for b in blocks for e in combinations(sorted(b), k))
+
+
+def disjoint_cliques_avoiders(n, blocks, classical):
+    """#Av_Lambda(pi) for Lambda the union of complete k-graphs on the
+    disjoint position sets ``blocks``, where ``classical(m)`` is the
+    number of permutations of length m avoiding pi.
+
+    No edge meets two blocks, so sigma avoids Lambda iff its values on
+    each block, read in order, avoid pi.  Choose which values each block
+    gets (a multinomial; positions outside every block are blocks of
+    one), then an avoiding order within each block:
+    n! * prod_i classical(|B_i|) / |B_i|!.
+    """
+    sizes = [len(b) for b in blocks]
+    return factorial(n) // prod(map(factorial, sizes)) * prod(map(classical, sizes))
 
 
 def histogram_naive(n, pi):

@@ -18,6 +18,8 @@ from permavoid import (
 )
 from permavoid.cli import main
 
+import oracles
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,6 +145,17 @@ def test_avoiders_with_lambda_file(capsys, tmp_path):
     assert data["count"] == 4
     assert data["avoiders"] == ["3,4,1,2", "3,4,2,1", "4,3,1,2", "4,3,2,1"]
     assert data["lambda_edges"] == 4
+
+
+def test_avoiders_over_disjoint_cliques(capsys, tmp_path):
+    blocks = [range(1, 5), range(5, 10)]
+    lam = tmp_path / "cliques.json"
+    lam.write_text(json.dumps({"n": 9, "k": 3, "edges": oracles.clique_edges(blocks, 3)}))
+    data = run_json(capsys, "avoiders", "--n", "9", "--pi", "1,3,2",
+                    "--lambda-file", str(lam))
+    want = oracles.disjoint_cliques_avoiders(9, blocks, oracles.catalan)
+    assert data["count"] == want == 74_088
+    assert data["lambda_edges"] == 4 + 10
 
 
 def test_lambda_file_text_format(capsys, tmp_path):
@@ -378,10 +391,12 @@ def test_max_ones_cli(capsys):
 
 
 def test_max_ones_search_cost_is_gated(capsys):
-    # Each row-transfer state is charged 2^n = 512 against the ceiling.
+    # Each row-transfer state is charged 2^n = 512 plus its bitset's
+    # bytes.  The whole run charges about 545,600, so a ceiling of 10,000
+    # refuses it after about 20 states, with room for further pruning.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "max-ones", "--n", "9", "--pi", "1,2,3",
-                             "--mode", "search", "--cost-ceiling", "100000")
+                             "--mode", "search", "--cost-ceiling", "10000")
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "cost_ceiling" in err

@@ -9,12 +9,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from permavoid import (
-    BinaryMatrix,
-    count_matrix_copies,
-    kernels,
-    matrix_contains,
-)
+from permavoid import BinaryMatrix, count_matrix_copies, kernels
 
 import oracles
 
@@ -52,17 +47,6 @@ def test_pure_kernels_match_oracles():
             edges = [e for e in combinations(range(n), len(pi)) if rng.random() < 0.5]
             rng.shuffle(edges)
             assert list(kernels.occurrences(sigma, pi, edges)) == [e for e in edges if e in walk]
-    # Widths past one 64-bit word, with the ones in the last ten columns
-    # (either side of column 64), sparse enough that both answers occur.
-    for _ in range(8):
-        cols = rng.randrange(65, 69)
-        grid = [[int(j >= cols - 10 and rng.random() < 0.2) for j in range(cols)]
-                for _ in range(3)]
-        row_bits = [sum(cell << j for j, cell in enumerate(row)) for row in grid]
-        for pi in [(0, 1), (1, 0), (0, 2, 1), (2, 0, 1)]:
-            pattern = tuple(v + 1 for v in pi)
-            assert kernels.matrix_contains_perm(row_bits, cols, pi) == \
-                (oracles.matrix_copies_naive(grid, pattern) > 0)
 
 
 def test_avoider_collection_matches_count():
@@ -85,14 +69,10 @@ def test_matrices_wider_than_a_word_get_exact_answers():
         pi0 = tuple(v - 1 for v in pi)
         assert kernels.count_matrix_copies(m.row_bits, 65, pi0) == want
         assert count_matrix_copies(m, pi) == want
-        assert kernels.matrix_contains_perm(m.row_bits, 65, pi0) == (want > 0)
-        assert matrix_contains(m, pi) == (want > 0)
     # The only copy of 12 uses column 65.
     corner = BinaryMatrix.from_rows([[0] * 63 + [1, 0], [0] * 64 + [1]])
-    assert kernels.matrix_contains_perm(corner.row_bits, 65, (0, 1))
-    assert matrix_contains(corner, (1, 2))
-    assert not matrix_contains(corner, (2, 1))
     assert count_matrix_copies(corner, (1, 2)) == 1
+    assert count_matrix_copies(corner, (2, 1)) == 0
 
 
 def test_matrix_copies_past_64_bits_are_exact():
@@ -220,6 +200,32 @@ def test_count_avoiders_past_brute_force(n):
     assert kernels.count_avoiders(n, (1, 0), None) == (1, None)
     assert kernels.count_avoiders(n, (0, 1), None, collect=True) == (1, [tuple(range(n))[::-1]])
     assert kernels.count_avoiders(n, (0, 2, 1), ()) == (math.factorial(n), None)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_disjoint_cliques_oracle_matches_brute_force(n):
+    rng = random.Random(808 + n)
+    for _ in range(3):
+        positions = list(range(1, n + 1))
+        rng.shuffle(positions)
+        cuts = sorted(rng.sample(range(n + 1), min(n + 1, 3)))
+        blocks = [positions[a:b] for a, b in zip(cuts, cuts[1:])]
+        for pi, classical in [((1, 3, 2), oracles.catalan), ((2, 1), lambda m: 1)]:
+            edges = oracles.clique_edges(blocks, len(pi))
+            assert oracles.disjoint_cliques_avoiders(n, blocks, classical) == \
+                len(oracles.avoiders_naive(n, pi, edges))
+
+
+@pytest.mark.parametrize("n, blocks, want", [
+    (9, [range(0, 4), range(4, 9)], 74_088),
+    (10, [(0, 3, 7, 9), (1, 2, 8), (4, 5, 6)], 1_470_000),
+    # Interleaved, so every block meets both the prefix and the tail.
+    (11, [range(0, 11, 2), range(1, 10, 2)], 2_561_328),
+])
+def test_count_avoiders_on_disjoint_cliques(n, blocks, want):
+    assert oracles.disjoint_cliques_avoiders(n, blocks, oracles.catalan) == want
+    edges = tuple(oracles.clique_edges(blocks, 3))
+    assert kernels.count_avoiders(n, (0, 2, 1), edges) == (want, None)
 
 
 def unpacked_atlas(t):

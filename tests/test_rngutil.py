@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permavoid import BinaryMatrix, random_submatrix, rngutil
+from permavoid import rngutil
 
 SAMPLES = rngutil.BLOCK + 3  # crosses one block boundary
 
@@ -68,18 +68,6 @@ def test_subset_pair_blocks_equal_scalar_draws(rows, cols, r):
         assert row_sets.shape == col_sets.shape == (len(row_sets), r)
         got += zip(map(tuple, row_sets.tolist()), map(tuple, col_sets.tolist()))
     assert got == want
-    assert_same_state(scalar, block)
-
-
-@pytest.mark.parametrize("r", [0, 1, 3])
-def test_random_submatrix_is_one_trial_of_the_scalar_stream(r):
-    grid = [[(i * 7 + j * 3) % 5 < 2 for j in range(6)] for i in range(3)]
-    a = BinaryMatrix.from_rows([[int(x) for x in row] for row in grid])
-    scalar, block = rngutil.generator(5), rngutil.generator(5)
-    for _ in range(40):
-        rows, cols = scalar_subset(scalar, a.rows, r), scalar_subset(scalar, a.cols, r)
-        want = BinaryMatrix.from_rows([[a.entry(i + 1, j + 1) for j in cols] for i in rows])
-        assert random_submatrix(a, r, block) == want
     assert_same_state(scalar, block)
 
 
