@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -147,7 +148,56 @@ def _num(x: "float | None") -> "float | str | None":
 
 
 def _render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+    written by ``_json_text``."""
+    return _json_text(report, "") + "\n"
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(v, pad: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it,
+    with every line after the first indented by ``pad``.
+
+    The types a report holds are written here, by exact type: strings,
+    ints, floats, bools, None, dicts with ``str`` keys and non-empty
+    lists.  A list of ints is one join, and a list of int rows of one
+    non-zero width, such as a hypergraph's edges, one %-format.
+    Anything else (tuples, subclasses, other keys, empty containers)
+    goes to ``json.dumps`` itself.
+    """
+    kind = type(v)
+    if kind is str:
+        return _json_str(v)
+    if kind is int:
+        return int.__repr__(v)
+    if kind is float:
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if kind is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and v and all(type(key) is str for key in v):
+        body = sep.join(f"{_json_str(key)}: {_json_text(v[key], inner)}" for key in sorted(v))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list and v:
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, v))
+        elif (kinds == {list} and v[0] and set(map(len, v)) == {len(v[0])}
+              and set(map(type, flat := tuple(itertools.chain.from_iterable(v)))) == {int}):
+            cell = ",\n" + inner + "  "
+            row = f"[\n{inner}  " + cell.join(["%d"] * len(v[0])) + f"\n{inner}]"
+            body = sep.join([row] * len(v)) % flat
+        else:
+            body = sep.join(_json_text(x, inner) for x in v)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _render_csv(rows: list[dict], fields: list[str]) -> str:
@@ -688,7 +738,7 @@ def _write_manifest(path: str, args, argv: list[str], output: str, wall_ms: int)
         "wall_time_ms": wall_ms,
         "output_sha256": hashlib.sha256(output.encode("utf-8")).hexdigest(),
     }
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(_render_json(manifest))
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -12,14 +12,17 @@ over the edges of one hypergraph or of each sampled one.
 The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
 count a whole (B, n) block of permutations or (B, rows, cols) block of
 matrices per call, in numpy ints up to 2^64 and in Python ints past it.
-The Monte-Carlo estimators hand them, and ``avoider_counts``, the
-blocks of ``rngutil.permutation_blocks``, ``rngutil.subset_pair_blocks``
-and ``rngutil.bernoulli_blocks``, whose rows run in the order of the
-per-sample draws, so a seed gives the same tallies as one kernel call
-per sample would.  ``min-copies`` hands ``matrix_copy_counts`` its
-supports and ``sna`` hands ``occurrence_counts`` its family members, a
-block at a time.  ``unpack_rows`` turns packed rows into the uint8
-entries they take.
+Both take their index sets (row subsets) from ``_row_subsets`` in
+chunks of at most ``_SLAB`` gathered entries, from a cached table of at
+most ``_TABLE`` sets or streamed past it, and compare a whole chunk per
+numpy call.  The Monte-Carlo estimators hand them, and
+``avoider_counts``, the blocks of ``rngutil.permutation_blocks``,
+``rngutil.subset_pair_blocks`` and ``rngutil.bernoulli_blocks``, whose
+rows run in the order of the per-sample draws, so a seed gives the same
+tallies as one kernel call per sample would.  ``min-copies`` hands
+``matrix_copy_counts`` its supports and ``sna`` hands
+``occurrence_counts`` its family members, a block at a time.
+``unpack_rows`` turns packed rows into the uint8 entries they take.
 
 ``count_matrix_copies`` counts one matrix: one AND over a cached
 table of copy masks when its nonzero rows hold at most 64 cells, and
@@ -131,20 +134,25 @@ def _lex_table(t: int) -> np.ndarray:
 
 def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
     """{c: #rows with exactly c occurrences of pi} over a (B, n) block
-    of permutations, one per row; counts no row has are left out."""
-    n = blk.shape[1]
+    of permutations, one per row; counts no row has are left out.
+
+    The index sets come from ``_row_subsets`` in chunks of at most
+    ``_SLAB`` gathered values, as (k, sets) arrays in pattern value
+    order.  Per chunk the k - 1 chained comparisons are ANDed over a
+    (sets, B) plane and summed along the set axis.
+    """
+    size, n = blk.shape
     k = len(pi)
     if k < 2:  # every index set carries a pattern of length 0 or 1
-        return {math.comb(n, k): len(blk)} if len(blk) else {}
-    count = np.zeros(len(blk), np.min_scalar_type(math.comb(n, k)))  # C(n,k) bounds it
+        return {math.comb(n, k): size} if size else {}
+    count = np.zeros(size, np.min_scalar_type(math.comb(n, k)))  # C(n,k) bounds it
     positions = np.ascontiguousarray(blk.T)  # one row per position
-    order = _value_order(pi)
-    for e in itertools.combinations(range(n), k):
-        rows = [positions[e[t]] for t in order]
+    for sel in _row_subsets(n, _value_order(pi), max(1, _SLAB // (max(size, 1) * k))):
+        rows = positions[sel]  # (k, sets, B)
         mask = rows[0] < rows[1]
-        for a, b in zip(rows[1:], rows[2:]):
-            mask &= a < b
-        count += mask
+        for j in range(1, k - 1):
+            mask &= rows[j] < rows[j + 1]
+        count += mask.sum(axis=0, dtype=count.dtype)
     return {c: rows for c, rows in enumerate(np.bincount(count).tolist()) if rows}
 
 
@@ -422,7 +430,8 @@ def _subset_table(nrows: int, order: tuple[int, ...]) -> np.ndarray:
 
 def _row_subsets(nrows: int, order: tuple[int, ...], size: int):
     """Yield the row k-subsets of ``_subset_table`` in (k, <= size)
-    chunks, without building the table once it would pass ``_TABLE``."""
+    chunks, without building the table once it would pass ``_TABLE``.
+    ``occurrence_counts`` reads them as index sets of positions."""
     k = len(order)
     if math.comb(nrows, k) <= _TABLE:
         table = _subset_table(nrows, order)

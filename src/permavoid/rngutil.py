@@ -58,17 +58,23 @@ def mean_and_se(tally: Iterable[tuple[Fraction | int, int]]) -> tuple[Fraction, 
     """Exact mean and float standard error (0.0 for one sample) of a
     tally of (value, multiplicity) pairs: the reduction behind every
     estimator.  Pairs, not a mapping, since outcomes may share a value.
+
+    The values are scaled to integers over their common denominator,
+    so the sums are integer sums and only the mean and the variance
+    become ``Fraction``s.
     """
-    m = 0
-    total = squares = Fraction(0)
-    for value, ways in tally:
+    pairs = list(tally)
+    scale = math.lcm(*(value.denominator for value, _ in pairs))
+    m = total = squares = 0
+    for value, ways in pairs:
+        a = value.numerator * (scale // value.denominator)
         m += ways
-        total += ways * value
-        squares += ways * value * value
-    mean = total / m
+        total += ways * a
+        squares += ways * a * a
+    mean = Fraction(total, m * scale)
     if m == 1:
         return mean, 0.0
-    var = (squares - total * total / m) / (m - 1)
+    var = Fraction(m * squares - total * total, m * (m - 1) * scale * scale)
     return mean, math.sqrt(max(0.0, float(var)) / m)
 
 
@@ -83,15 +89,20 @@ def _block_sizes(total: int, width: int):
 
 def _shuffled(size: int, n: int, draws: np.ndarray) -> np.ndarray:
     """``size`` copies of range(n) after the Fisher-Yates swaps of slot
-    i with slot draws[:, i], for i = 0, 1, ... in turn."""
-    pool = np.tile(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), (size, 1))
-    rows = np.arange(size)
+    i with slot draws[:, i], for i = 0, 1, ... in turn.
+
+    The copies are the rows of one flat array, and each step swaps
+    through 1-D indices at the row offsets ``arange(size) * n``, which
+    ran faster than 2-D fancy indexing and than ``take``/``put``.
+    """
+    flat = np.tile(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), size)
+    rows = np.arange(size) * n
     for i in range(draws.shape[1]):
-        j = draws[:, i]
-        held = pool[:, i].copy()
-        pool[:, i] = pool[rows, j]
-        pool[rows, j] = held
-    return pool
+        slot, j = rows + i, rows + draws[:, i]
+        held = flat[slot]
+        flat[slot] = flat[j]
+        flat[j] = held
+    return flat.reshape(size, n)
 
 
 def permutation_blocks(rng: np.random.Generator, n: int, samples: int):

@@ -7,7 +7,7 @@ can be checked against code that shares nothing with them.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, comb, factorial, prod
+from math import ceil, comb, factorial, prod, sqrt
 
 
 def order_isomorphic(values, pattern):
@@ -321,3 +321,19 @@ def q_factorial(n, q):
 def catalan(n):
     """Number of permutations of length n avoiding any one pattern of length 3."""
     return comb(2 * n, n) // (n + 1)
+
+
+def mean_and_se_naive(tally):
+    """Exact mean and float standard error of (value, multiplicity)
+    pairs, one ``Fraction`` sum per pair."""
+    m = 0
+    total = squares = Fraction(0)
+    for value, ways in tally:
+        m += ways
+        total += ways * value
+        squares += ways * value * value
+    mean = total / m
+    if m == 1:
+        return mean, 0.0
+    var = (squares - total * total / m) / (m - 1)
+    return mean, sqrt(max(0.0, float(var)) / m)

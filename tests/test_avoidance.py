@@ -171,6 +171,19 @@ def test_lambda_estimator_is_deterministic_and_close():
     assert est1.method == "lambda"
 
 
+@pytest.mark.parametrize("alpha, seed", [(Fraction(1, 10), 41), (Fraction(1, 3), 42),
+                                         (Fraction(2, 3), 43)])
+def test_lambda_estimator_meets_q_factorial(alpha, seed):
+    # Each pair of positions is an edge with probability alpha, and a
+    # permutation avoids 21 on the edges iff none of its inversions is
+    # one: E = sum over S_n of (1-alpha)^inv, the q-factorial at 1 - alpha.
+    n, samples = 7, 2000
+    est = mc_expected_avoiders_by_lambda(n, 2, (2, 1), alpha, samples, seed)
+    exact = oracles.q_factorial(n, 1 - alpha)
+    assert est.samples == samples and est.std_error > 0
+    assert abs(float(est.estimate - exact)) <= 4 * est.std_error
+
+
 def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
     passes = []
     block_lookups = kernels._block_lookups

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from permavoid import (
     BinaryMatrix,
@@ -16,7 +17,7 @@ from permavoid import (
     permutation_matrix,
     rngutil,
 )
-from permavoid.cli import main
+from permavoid.cli import _render_json, main
 
 import oracles
 
@@ -469,6 +470,7 @@ def test_manifest_records_and_replays(capsys, tmp_path):
     assert manifest["output_sha256"] == \
         hashlib.sha256(out.encode()).hexdigest()
     assert manifest["parameters"]["alpha"] == "1/3"
+    assert manifest_path.read_text() == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     # Replaying the recorded argv reproduces the exact bytes.
     code2, out2, _ = run_cli(capsys, *manifest["argv"])
     assert code2 == 0
@@ -659,6 +661,17 @@ GOLDEN_DIGESTS = [
      "5919d3ee21487589a3c02ff49308f13d40f8bf4523208432a09116844c481b94"),
     (["snm", "--n", "9", "--m", "2", "--pi", "1,3,2"],
      "4385d7fe1bf77894276f91754367d3c85306ab56fb123376cdcb7027eb131391"),
+    # The JSON writer's equal-width int rows: 2,470 drawn edges and the
+    # 216 crossing triples of a two-part 12-vertex hypergraph.
+    (["hypergraph", "--n", "40", "--k", "3", "--alpha", "1/4", "--seed", "5"],
+     "82f97a1415034fdb12bf0a7c576cf0e2b2f86bac180fdbac1aa4c9438af7f576"),
+    (["lambda-star", "--n", "12", "--k", "3"],
+     "f46298ca2799371d1daa81908895f4d21bad348f2dc063589e839b9eed657765"),
+    # C(20,3) = 1140 index sets, past the cached subset table, so the
+    # sigma estimator's block kernel streams them.
+    (["expect-mc", "--estimator", "sigma", "--n", "20", "--pi", "1,3,2",
+      "--alpha", "1/3", "--samples", "3000", "--seed", "9"],
+     "d42bf1eed041c1c612b7b72f712503fe0ec430de191d55d626d28859e639b76e"),
 ]
 
 
@@ -679,7 +692,8 @@ GOLDEN_DIGESTS = [
     "expect-mc-lambda-4097-samples", "expect-mc-lambda-two-words", "expect-mc-lambda-k1",
     "avoiders-132-n9", "avoiders-21-n8", "avoiders-seeded-n9", "avoiders-list-n7",
     "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges", "distribution-132-n9",
-    "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9"])
+    "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9", "hypergraph-n40",
+    "lambda-star-n12", "expect-mc-sigma-streamed-sets"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     for name, text in PLACEHOLDERS.items():
         (tmp_path / name).write_text(text)
@@ -687,6 +701,49 @@ def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+BIG = st.integers(-2**70, 2**70)  # past 2^64 both ways
+LEAVES = st.one_of(
+    st.none(), st.booleans(), BIG, st.floats(),  # NaN, +-inf and -0.0 among them
+    st.text(max_size=6),  # non-ASCII and control characters among them
+    st.builds(_Str, st.text(max_size=3)), st.builds(_Int, BIG),
+)
+INT_ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(BIG, min_size=width, max_size=width), min_size=1,
+                           max_size=5))
+SPOILED_ROWS = st.tuples(INT_ROWS, st.sampled_from([True, _Int(1), 1.0, None])).map(
+    lambda drawn: drawn[0][:-1] + [drawn[0][-1][:-1] + [drawn[1]]])  # one cell not an int
+RAGGED_ROWS = st.lists(st.lists(BIG, max_size=3), max_size=4)
+JSON_VALUES = st.recursive(
+    st.one_of(LEAVES, st.lists(BIG, max_size=5), INT_ROWS, SPOILED_ROWS, RAGGED_ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.builds(_Str, st.text(max_size=2))),
+                        inner, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(value=JSON_VALUES)
+@example(value={"x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**70, -2**70],
+                "y": ["\u00e9\x00\n\"\\", _Str("s"), _Int(3), True, False, None, [], {}, ()],
+                "z": [[1, 2], [3, 4], {_Str("w"): [[1, True], [2, 3]]}]})
+def test_json_writer_matches_json_dumps(value):
+    assert _render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 COMPLETE_K4 = "4 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"

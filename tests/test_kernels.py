@@ -369,6 +369,22 @@ def test_occurrence_counts_match_oracles_on_blocks():
                        for c, m in tally.items())
 
 
+def test_occurrence_counts_match_oracles_across_chunks(monkeypatch):
+    # A small slab splits the index sets of a 9-row block into chunks of
+    # one to three, and a small table streams them past C(n, k) = 4.
+    monkeypatch.setattr(kernels, "_SLAB", 64)
+    monkeypatch.setattr(kernels, "_TABLE", 4)
+    rng = random.Random(818)
+    patterns = [pi for k in range(5) for pi in permutations(range(k))]
+    for n in range(8):
+        for size in (0, 1, 9) if n == 6 else (1, 9):
+            blk = np.array([random_sigma(rng, n) for _ in range(size)], np.uint8)
+            blk = blk.reshape(size, n)
+            for pi in patterns:
+                want = Counter(oracles.count_naive(s, pi) for s in blk.tolist())
+                assert kernels.occurrence_counts(blk, pi) == want
+
+
 def test_matrix_copy_counts_match_oracles_on_blocks():
     rng = random.Random(909)
     # r = 0, non-square blocks, and k > r and k = 0 from the patterns

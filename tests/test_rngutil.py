@@ -2,15 +2,19 @@
 stream of the per-sample draws they replaced: the scalar loops below.
 If numpy ever changes how ``Generator.integers`` handles array bounds
 or buffers PCG64's 32-bit halves, these tests fail before any seeded
-output silently changes.
+output silently changes.  ``mean_and_se`` must likewise equal the per-pair
+``Fraction`` loop it replaced, ``oracles.mean_and_se_naive``.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from permavoid import rngutil
+
+import oracles
 
 SAMPLES = rngutil.BLOCK + 3  # crosses one block boundary
 
@@ -115,3 +119,39 @@ def test_bernoulli_blocks_refuse_denominators_past_64_bits_before_drawing():
     with pytest.raises(ValueError, match=r"denominator <= 2\^64"):
         rngutil.bernoulli_mask(block, Fraction(3, 10**20), 5)
     assert_same_state(rngutil.generator(19), block)
+
+
+def random_tally(rng):
+    """(value, multiplicity) pairs over mixed denominators, ints among
+    the values, and at times one value listed in several pairs."""
+    pairs = []
+    for _ in range(rng.randrange(1, 8)):
+        value = (rng.randrange(-40, 40) if rng.random() < 0.3
+                 else Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)))
+        pairs.append((value, rng.randrange(1, 10**5)))
+    if rng.random() < 0.3:
+        pairs.append((pairs[0][0], rng.randrange(1, 10)))
+    return pairs
+
+
+@pytest.mark.parametrize("tally", [
+    [(Fraction(5, 7), 1)],  # one sample: SE 0.0
+    [(3, 1)],
+    [(Fraction(2, 3), 40)],  # zero variance
+    [(Fraction(1, 3), 2), (Fraction(2, 6), 5)],  # one value, two pairs
+    [(Fraction(2, 3) ** c, c + 1) for c in range(40)],  # the sigma estimator's shape
+    [(Fraction(ones, 36), 1 + ones % 5) for ones in range(37)],  # sample-density's
+    [(10**30, 2), (-(10**30), 3), (1, 7)],
+])
+def test_mean_and_se_equals_the_fraction_loop(tally):
+    mean, se = rngutil.mean_and_se(iter(tally))
+    want_mean, want_se = oracles.mean_and_se_naive(tally)
+    assert mean == want_mean and type(mean) is Fraction
+    assert se == want_se and type(se) is float
+
+
+def test_mean_and_se_equals_the_fraction_loop_on_random_tallies():
+    rng = random.Random(1212)
+    for _ in range(300):
+        tally = random_tally(rng)
+        assert rngutil.mean_and_se(tally) == oracles.mean_and_se_naive(tally)
