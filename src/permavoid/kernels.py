@@ -19,7 +19,10 @@ numpy call.  The Monte-Carlo estimators hand them, and
 ``avoider_counts``, the blocks of ``rngutil.permutation_blocks``,
 ``rngutil.subset_pair_blocks`` and ``rngutil.bernoulli_blocks``, whose
 rows run in the order of the per-sample draws, so a seed gives the same
-tallies as one kernel call per sample would.  ``min-copies`` hands
+tallies as one kernel call per sample would.  Permutation blocks and
+subset pairs are transposed views of position-major arrays, so
+``occurrence_counts`` reads the positions of a permutation block
+without a copy.  ``min-copies`` hands
 ``matrix_copy_counts`` its supports and ``sna`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.

@@ -4,17 +4,17 @@ the estimators built on them.
 All randomness in the package flows through numpy's PCG64 bit generator,
 and every derived draw (subset selection, permutation shuffling,
 Bernoulli trials) is implemented here on top of ``Generator.integers``
-alone.  PCG64 produces an identical stream for a given seed on every
-platform, and the algorithms below are fixed by this module, so a seed
-pins all outputs bit-for-bit.
+alone, or replays its values exactly (below).  PCG64 produces an
+identical stream for a given seed on every platform, and the algorithms
+below are fixed by this module, so a seed pins all outputs bit-for-bit.
 
 The Monte-Carlo draws come in blocks of up to ``BLOCK`` samples, each
-block from one ``integers`` call with array bounds broadcast to a
-(samples, steps) shape.  That call returns exactly the values of the
-scalar calls ``integers(low, high)`` made one sample after another, in
-row-major order: numpy bounds each element by itself and PCG64 hands
-out its 32-bit halves the same way on both paths.  So the stream is
-the per-sample one:
+block holding the values of one ``integers`` call with array bounds
+broadcast to a (samples, steps) shape.  That call returns exactly the
+values of the scalar calls ``integers(low, high)`` made one sample
+after another, in row-major order: numpy bounds each element by itself
+and PCG64 hands out its 32-bit halves the same way on both paths.  So
+the stream is the per-sample one:
 
   * a permutation of range(n) is the full Fisher-Yates shuffle,
     draws ``integers(i, n)`` for i = 0 .. n-2, swapping slots i and
@@ -26,18 +26,32 @@ the per-sample one:
     ``integers(0, denominator, size=count)``, compared against the
     numerator.
 
-tests/test_rngutil.py pins all three against per-sample loops.
+With array bounds numpy bounds one element per pass of a broadcast
+loop, which costs about ten times the raw words a block spends, so the
+shuffles' draws replay that call from raw PCG64 words (``_bounded``).
+numpy's bounding step is Lemire's multiply-and-shift on a 32-bit half
+("Fast random integer generation in an interval", 2019), which
+whole-array ops reproduce as long as no draw would be redrawn.  When
+one would, when a half is left buffered, when the count of draws is
+odd, when a span is 1, or on a big-endian host, numpy draws the block
+itself.  The shuffles then run in (n, B) position-major arrays, one row
+per slot, so each Fisher-Yates step moves whole rows.
+
+tests/test_rngutil.py pins all three against per-sample loops, and
+``_bounded`` against ``integers`` itself.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 BLOCK = 2048  # samples per RNG call and per block-kernel call
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -87,30 +101,71 @@ def _block_sizes(total: int, width: int):
         yield min(step, total - start)
 
 
+def _bounded(rng: np.random.Generator, lows: np.ndarray, highs: np.ndarray,
+             size: int) -> np.ndarray:
+    """``rng.integers(lows, highs, size=(size, len(lows)))``: the same
+    int64 values, and the generator left in the same state.
+
+    numpy bounds each element by Lemire's method on the next 32-bit half
+    of the stream: m = u * span, the value low + (m >> 32), and a redraw
+    when the low 32 bits of m fall below 2^32 mod span.  With no half
+    buffered, an even count of draws and every span in [2, 2^32), this
+    spends ``random_raw`` words low half first, as numpy does, in
+    whole-array ops over a (steps, size) layout, and sets the buffered
+    half numpy would have left behind.  If any draw would have been
+    redrawn, the state is restored and numpy draws the block; in every
+    other case, and on a big-endian host, numpy draws it to begin with.
+    """
+    spans = highs - lows
+    count = size * len(spans)
+    bitgen = rng.bit_generator
+    if (count and count % 2 == 0 and _LITTLE_ENDIAN
+            and spans.min() >= 2 and spans.max() < 2**32):
+        state = bitgen.state
+        if not state["has_uint32"]:
+            words = bitgen.random_raw(count // 2)
+            halves = words.view(np.uint32).reshape(size, len(spans)).T
+            m = np.multiply(halves, spans.astype(np.uint64)[:, None], order="C")
+            floors = (2**32 % spans).astype(np.uint32)[:, None]
+            if not (m.astype(np.uint32) < floors).any():
+                after = bitgen.state
+                after["uinteger"] = int(words[-1] >> 32)
+                bitgen.state = after
+                m >>= 32
+                values = m.view(np.int64)
+                values += lows[:, None]
+                return values.T
+            bitgen.state = state
+    return rng.integers(lows, highs, size=(size, len(spans)))
+
+
 def _shuffled(size: int, n: int, draws: np.ndarray) -> np.ndarray:
     """``size`` copies of range(n) after the Fisher-Yates swaps of slot
-    i with slot draws[:, i], for i = 0, 1, ... in turn.
+    i with slot draws[:, i], for i = 0, 1, ... in turn, as an (n, size)
+    position-major array: column s is copy s.
 
-    The copies are the rows of one flat array, and each step swaps
-    through 1-D indices at the row offsets ``arange(size) * n``, which
-    ran faster than 2-D fancy indexing and than ``take``/``put``.
+    Step i copies row i and swaps it, through flat indices
+    draws[:, i] * size + s, with the rows the draws name, so every step
+    reads and writes whole rows.
     """
-    flat = np.tile(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), size)
-    rows = np.arange(size) * n
+    pos = np.repeat(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), size)
+    slots = draws.T * size + np.arange(size)
     for i in range(draws.shape[1]):
-        slot, j = rows + i, rows + draws[:, i]
-        held = flat[slot]
-        flat[slot] = flat[j]
-        flat[j] = held
-    return flat.reshape(size, n)
+        held = pos[i * size:(i + 1) * size].copy()
+        pos[i * size:(i + 1) * size] = pos[slots[i]]
+        pos[slots[i]] = held
+    return pos.reshape(n, size)
 
 
 def permutation_blocks(rng: np.random.Generator, n: int, samples: int):
     """Yield ``samples`` uniformly random permutations of range(n) as
-    (B, n) blocks, one permutation per row (uint8 for n <= 256)."""
+    (B, n) blocks, one permutation per row (uint8 for n <= 256).  Each
+    block is the transposed view of a position-major array, so
+    ``blk.T`` is C-contiguous."""
     steps = np.arange(max(n - 1, 0))
+    highs = np.full_like(steps, n)
     for size in _block_sizes(samples, n):
-        yield _shuffled(size, n, rng.integers(steps, n, size=(size, len(steps))))
+        yield _shuffled(size, n, _bounded(rng, steps, highs, size)).T
 
 
 def subset_pair_blocks(
@@ -120,15 +175,17 @@ def subset_pair_blocks(
     range(rows) and an r-subset of range(cols), as blocks of two sorted
     (B, r) index arrays.  Needs 0 <= r <= min(rows, cols).
 
-    A block's pools are B x rows and B x cols and the submatrices its
-    pairs induce B x r x r, so all three bound its size.
+    Each subset is the first r rows of a position-major shuffle, sorted
+    down the columns.  A block's pools are B x rows and B x cols and
+    the submatrices its pairs induce B x r x r, so all three bound its
+    size.
     """
     lows = np.tile(np.arange(r), 2)
     highs = np.repeat([rows, cols], r)
     for size in _block_sizes(trials, max(rows, cols, r * r)):
-        draws = rng.integers(lows, highs, size=(size, 2 * r))
+        draws = _bounded(rng, lows, highs, size)
         yield tuple(
-            np.sort(_shuffled(size, n, draws[:, h * r:(h + 1) * r])[:, :r], axis=1)
+            np.sort(_shuffled(size, n, draws[:, h * r:(h + 1) * r])[:r], axis=0).T
             for h, n in enumerate((rows, cols))
         )
 

@@ -80,6 +80,38 @@ def disjoint_cliques_avoiders(n, blocks, classical):
     return factorial(n) // prod(map(factorial, sizes)) * prod(map(classical, sizes))
 
 
+def windows(positions, k):
+    """The runs of k consecutive entries of ``positions``: the Lambda
+    whose avoiders avoid pi as a consecutive pattern."""
+    positions = list(positions)
+    return [tuple(positions[i:i + k]) for i in range(len(positions) - k + 1)]
+
+
+def consecutive_avoiders(n, pi):
+    """Permutations of length n with no k adjacent entries in the order
+    of pi: #Av_Lambda(pi) for Lambda = ``windows(range(n), k)`` (Elizalde
+    and Noy, "Consecutive patterns in permutations", 2003).
+
+    sigma is built left to right up to order isomorphism.  A state is the
+    ranks, among the m entries placed, of the last k - 1 of them.  The
+    next entry takes rank r in 0..m, which lifts every old rank x >= r
+    by one, and is refused when it ends a window in the order of pi.
+    """
+    k = len(pi)
+    states = {(): 1}
+    for m in range(n):
+        grown = {}
+        for last, ways in states.items():
+            for r in range(m + 1):
+                tail = tuple(x + (x >= r) for x in last) + (r,)
+                if len(tail) == k and order_isomorphic(tail, pi):
+                    continue
+                key = tail[max(0, len(tail) - k + 1):]
+                grown[key] = grown.get(key, 0) + ways
+        states = grown
+    return sum(states.values())
+
+
 def histogram_naive(n, pi):
     hist = {}
     for sigma in permutations(range(1, n + 1)):

@@ -159,6 +159,16 @@ def test_avoiders_over_disjoint_cliques(capsys, tmp_path):
     assert data["lambda_edges"] == 4 + 10
 
 
+def test_avoiders_over_consecutive_windows(capsys, tmp_path):
+    lam = tmp_path / "windows.json"
+    lam.write_text(json.dumps({"n": 9, "k": 3, "edges": oracles.windows(range(1, 10), 3)}))
+    for pi, want in [((1, 2, 3), 99_377), ((1, 3, 2), 71_793)]:
+        data = run_json(capsys, "avoiders", "--n", "9", "--pi", ",".join(map(str, pi)),
+                        "--lambda-file", str(lam))
+        assert data["count"] == oracles.consecutive_avoiders(9, pi) == want
+        assert data["lambda_edges"] == 7
+
+
 def test_lambda_file_text_format(capsys, tmp_path):
     lam = tmp_path / "lam.txt"
     lam.write_text("3 2\n1 2\n2 3\n")
@@ -672,6 +682,16 @@ GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "20", "--pi", "1,3,2",
       "--alpha", "1/3", "--samples", "3000", "--seed", "9"],
      "d42bf1eed041c1c612b7b72f712503fe0ec430de191d55d626d28859e639b76e"),
+    # Blocks numpy draws itself, not rngutil._bounded: the last block of
+    # 3 samples of S_8 makes 21 draws, an odd count.  With r the matrix's
+    # side the last step of each subset draws from a span of 1, and every
+    # sample is the whole matrix.
+    (["expect-mc", "--estimator", "sigma", "--n", "8", "--pi", "1,3,2",
+      "--alpha", "1/3", "--samples", "2051", "--seed", "3"],
+     "d1b1229c016c96368377b0a6ef02b7a78f3ffa0ddcc7fe35666c94b616e52ac3"),
+    (["sample-density", "--from-file", "MATRIX", "--pi", "1,3,2", "--r", "8",
+      "--trials", "60", "--seed", "5"],
+     "6c155e79c3f4491858913035f08207028547ec99bf99a75588bdc80abbbb4482"),
 ]
 
 
@@ -693,7 +713,8 @@ GOLDEN_DIGESTS = [
     "avoiders-132-n9", "avoiders-21-n8", "avoiders-seeded-n9", "avoiders-list-n7",
     "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges", "distribution-132-n9",
     "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9", "hypergraph-n40",
-    "lambda-star-n12", "expect-mc-sigma-streamed-sets"])
+    "lambda-star-n12", "expect-mc-sigma-streamed-sets", "expect-mc-sigma-odd-draws",
+    "sample-density-span-1"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     for name, text in PLACEHOLDERS.items():
         (tmp_path / name).write_text(text)

@@ -71,10 +71,16 @@ def test_exhaustive_witness_is_least_mask_optimum(n, k):
         assert rep.max_ones == rep.witness.ones
 
 
+# The four non-monotone 3 x 3 patterns read 4n - 4 too.  That value is
+# not taken from a published statement here: brute force confirms it
+# through n = 4 (test_search_witness_is_first_optimum_in_search_order),
+# and these rows pin the search to it at n = 5..7.
 @pytest.mark.parametrize("pattern,n", [
     (p, n) for p in [(1, 2), (2, 1)] for n in (6, 7, 8)
 ] + [
     (p, n) for p in [(1, 2, 3), (3, 2, 1)] for n in (5, 6, 9)
+] + [
+    (p, n) for p in [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)] for n in (5, 6, 7)
 ], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
 def test_search_meets_identity_formula_past_brute_force(pattern, n):
     rep = max_ones_avoiding(n, pattern, method="search")

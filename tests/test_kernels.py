@@ -228,6 +228,32 @@ def test_count_avoiders_on_disjoint_cliques(n, blocks, want):
     assert kernels.count_avoiders(n, (0, 2, 1), edges) == (want, None)
 
 
+# OEIS A049774 (consecutive 123, and 321 by complement) and A111004
+# (consecutive 132, and 213, 231, 312 by reversal and complement), n = 0..11.
+CONSECUTIVE_123 = [1, 1, 2, 5, 17, 70, 349, 2017, 13358, 99377, 822041, 7477162]
+CONSECUTIVE_132 = [1, 1, 2, 5, 16, 63, 296, 1623, 10176, 71793, 562848, 4853949]
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_consecutive_oracle_matches_brute_force(n):
+    edges = oracles.windows(range(1, n + 1), 3)
+    for pi in permutations((1, 2, 3)):
+        assert oracles.consecutive_avoiders(n, pi) == len(oracles.avoiders_naive(n, pi, edges))
+
+
+def test_consecutive_oracle_meets_oeis():
+    for pi in permutations((1, 2, 3)):
+        want = CONSECUTIVE_123 if pi in [(1, 2, 3), (3, 2, 1)] else CONSECUTIVE_132
+        assert [oracles.consecutive_avoiders(n, pi) for n in range(12)] == want
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_count_avoiders_on_consecutive_windows(n):
+    edges = tuple(oracles.windows(range(n), 3))
+    assert kernels.count_avoiders(n, (0, 1, 2), edges) == (CONSECUTIVE_123[n], None)
+    assert kernels.count_avoiders(n, (0, 2, 1), edges) == (CONSECUTIVE_132[n], None)
+
+
 def unpacked_atlas(t):
     return np.unpackbits(kernels._atlas(t).view(np.uint8), axis=1, bitorder="little").view(bool)
 

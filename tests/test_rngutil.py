@@ -2,8 +2,12 @@
 stream of the per-sample draws they replaced: the scalar loops below.
 If numpy ever changes how ``Generator.integers`` handles array bounds
 or buffers PCG64's 32-bit halves, these tests fail before any seeded
-output silently changes.  ``mean_and_se`` must likewise equal the per-pair
-``Fraction`` loop it replaced, ``oracles.mean_and_se_naive``.
+output silently changes.  ``_bounded``, which replays numpy's bounding
+step from raw PCG64 words, must equal ``integers`` itself on every
+branch, values and generator state alike, and must keep the blocks the
+Monte-Carlo jobs draw on its raw-word path.  ``mean_and_se`` must
+likewise equal the per-pair ``Fraction`` loop it replaced,
+``oracles.mean_and_se_naive``.
 """
 
 import random
@@ -42,9 +46,70 @@ def rows_of(blocks):
 
 
 def assert_same_state(*generators):
-    """The generators all continue with the same draws, so no path left
-    a buffered 32-bit half behind that another did not."""
+    """The generators are in one state, buffered 32-bit half included,
+    and so continue with the same draws."""
+    assert len({repr(g.bit_generator.state) for g in generators}) == 1
     assert len({tuple(g.integers(0, 2**31, size=4).tolist()) for g in generators}) == 1
+
+
+class CountingGenerator:
+    """A PCG64 generator that counts its ``integers`` calls: under
+    ``permutation_blocks`` and ``subset_pair_blocks`` each is a block
+    numpy drew instead of ``_bounded``'s raw words."""
+
+    def __init__(self, seed):
+        self.rng = rngutil.generator(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.numpy_blocks = 0
+
+    def integers(self, *args, **kwargs):
+        self.numpy_blocks += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("lows, highs, size", [
+    (list(range(7)), [8] * 7, 2048),  # one S_8 block: raw words
+    ([0, 1, 2], [8, 8, 8], 1),  # odd count
+    ([0, 1, 2], [8, 8, 8], 3),
+    ([0, 1], [8, 8], 1),  # size 1, raw words
+    ([0, 1], [8, 8], 0),  # size 0
+    ([0, 1, 2, 3], [4, 4, 4, 4], 6),  # a span of 1
+    ([0, -5], [3 * 2**30, 2**31 + 2], 1),  # redraws a quarter and a half of the time
+    ([0, -5], [3 * 2**30, 2**31 + 2], 64),
+    ([0, 7], [2**32 - 1, 2**32 + 6], 8),  # the widest spans the raw path takes
+    ([0, 0], [2**32, 2**32 + 1], 8),  # wider ones go to numpy
+])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("before", [None, 5, 2**31 + 7])
+def test_bounded_equals_integers(lows, highs, size, seed, before):
+    lows, highs = np.array(lows), np.array(highs)
+    want, got = rngutil.generator(seed), rngutil.generator(seed)
+    if before is not None:
+        # A scalar draw leaves a 32-bit half buffered, unless a redraw
+        # (likely for 2^31 + 7) spent the next half as well.
+        assert want.integers(before) == got.integers(before)
+    expected = want.integers(lows, highs, size=(size, len(lows)))
+    values = rngutil._bounded(got, lows, highs, size)
+    assert values.dtype == np.int64 and values.shape == expected.shape
+    np.testing.assert_array_equal(values, expected)
+    assert_same_state(want, got)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_monte_carlo_blocks_draw_from_raw_words(seed):
+    # Ten blocks of S_8, as expect-mc --estimator sigma --n 8 draws them,
+    # and the pairs of sample-density --r 6 on a 16 x 16 matrix.
+    rng = CountingGenerator(seed)
+    assert sum(map(len, rngutil.permutation_blocks(rng, 8, 10 * rngutil.BLOCK))) == 20480
+    assert sum(len(rows) for rows, _ in rngutil.subset_pair_blocks(rng, 16, 16, 6, 6000)) == 6000
+    assert rng.numpy_blocks == 0
+    # An odd count of draws goes to numpy, and so does a span of 1.
+    assert [len(b) for b in rngutil.permutation_blocks(rng, 8, rngutil.BLOCK + 3)] == \
+        [rngutil.BLOCK, 3]
+    assert rng.numpy_blocks == 1
+    rng = CountingGenerator(seed)
+    next(rngutil.subset_pair_blocks(rng, 8, 8, 8, 60))
+    assert rng.numpy_blocks == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 8])
@@ -54,6 +119,7 @@ def test_permutation_blocks_equal_scalar_fisher_yates(n):
     blocks = list(rngutil.permutation_blocks(block, n, SAMPLES))
     assert [len(b) for b in blocks] == [rngutil.BLOCK, 3]
     assert all(b.shape[1] == n and b.dtype == np.uint8 for b in blocks)
+    assert all(b.T.flags.c_contiguous for b in blocks)  # position-major
     assert rows_of(blocks) == want
     assert_same_state(scalar, block)
 
