@@ -21,7 +21,7 @@ from .avoidance import (
     mc_expected_avoiders_by_lambda,
     mc_expected_avoiders_by_sigma,
 )
-from .config import LIMITS, Limits
+from .config import Limits, override_limits
 from .contraction import contract2, contract_b, preimage_count_contract2
 from .errors import CapExceededError, CliqueCoverError, DimensionMismatchError
 from .extremal import (
@@ -86,7 +86,6 @@ __all__ = [
     "DimensionMismatchError",
     "ExpectationReport",
     "KUniformHypergraph",
-    "LIMITS",
     "Limits",
     "MCEstimate",
     "MaxOnesReport",
@@ -123,6 +122,7 @@ __all__ = [
     "mc_expected_avoiders_by_sigma",
     "min_copies_brute",
     "multipartite_lambda_star",
+    "override_limits",
     "permutation_matrix",
     "preimage_count_contract2",
     "random_uniform_hypergraph",

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import kernels, rngutil
-from .config import LIMITS, check_ceiling, check_enum_cap
+from .config import check_limit
 from .hypergraphs import KUniformHypergraph, check_dims
 from .perms import (
     PermLike,
@@ -77,7 +77,6 @@ def enumerate_avoiders(
     pi: PermLike,
     lam: KUniformHypergraph | None,
     collect: bool = False,
-    cap: int | None = None,
 ) -> AvoiderReport:
     """Count (and with ``collect``, list) the sigma in S_n with no
     occurrence of pi on an edge of ``lam``.  One pass over S_n in
@@ -86,7 +85,7 @@ def enumerate_avoiders(
     ``lam=None`` stands for the complete hypergraph, which is never
     built: its C(n,k) edges are only counted.
     """
-    check_enum_cap(n, cap)
+    check_limit("enum_cap", n)
     p = as_permutation(pi)
     if lam is None:
         edge_count = math.comb(n, len(p))  # ValueError for n < 0
@@ -131,7 +130,6 @@ def exact_expected_avoiders(
     k: int,
     pi: PermLike,
     alpha: "Fraction | int | str",
-    cap: int | None = None,
 ) -> ExpectationReport:
     """Evaluate E = sum_sigma (1-alpha)^(#copies) exactly in rationals:
     the one-alpha case of :func:`exact_expected_avoiders_grid`.
@@ -139,7 +137,7 @@ def exact_expected_avoiders(
     >>> exact_expected_avoiders(2, 2, (1, 2), "1/2").exact_value
     Fraction(3, 2)
     """
-    return next(exact_expected_avoiders_grid(n, k, pi, (alpha,), cap))
+    return next(exact_expected_avoiders_grid(n, k, pi, (alpha,)))
 
 
 def exact_expected_avoiders_grid(
@@ -147,7 +145,6 @@ def exact_expected_avoiders_grid(
     k: int,
     pi: PermLike,
     alphas: "Iterable[Fraction | int | str]",
-    cap: int | None = None,
 ) -> Iterator[ExpectationReport]:
     """Yield the exact E for each alpha in turn from one S_n pass: the
     copy-count histogram h, evaluated as E = sum_c h_c (1-alpha)^c.
@@ -159,7 +156,7 @@ def exact_expected_avoiders_grid(
         if hist is None:
             p = as_permutation(pi)
             check_dims(n, k, n, len(p))
-            hist = copy_count_distribution(n, p, cap).histogram
+            hist = copy_count_distribution(n, p).histogram
         beta = 1 - alpha
         exact = sum((ways * beta**c for c, ways in hist.items()), Fraction(0))
         yield ExpectationReport(
@@ -214,7 +211,6 @@ def mc_expected_avoiders_by_sigma(
     alpha: "Fraction | int | str",
     samples: int,
     seed: int,
-    cost_ceiling: int | None = None,
 ) -> MCEstimate:
     """Estimate E by sampling sigma uniformly: the estimator is
     n! times the sample mean of (1-alpha)^(#copies of pi in sigma).
@@ -228,7 +224,7 @@ def mc_expected_avoiders_by_sigma(
         raise ValueError("samples must be >= 1")
     p = as_permutation(pi)
     cost = samples * max(1, math.comb(n, len(p))) * max(1, len(p))
-    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    check_limit("cost_ceiling", cost)
     if n > 170:  # 171! overflows a float
         raise ValueError(f"n! exceeds float range for n = {n}; the sigma estimator "
                          "needs n <= 170")
@@ -258,8 +254,6 @@ def mc_expected_avoiders_by_lambda(
     alpha: "Fraction | int | str",
     samples: int,
     seed: int,
-    cap: int | None = None,
-    cost_ceiling: int | None = None,
 ) -> MCEstimate:
     """Estimate E directly: draw random hypergraphs and average the
     exact avoider count of each.
@@ -273,11 +267,11 @@ def mc_expected_avoiders_by_lambda(
     alpha = rngutil.exact_probability(alpha)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    check_enum_cap(n, cap)
+    check_limit("enum_cap", n)
     p = as_permutation(pi)
     check_dims(n, k, n, len(p))
     cost = samples * math.factorial(n) * max(1, math.comb(n, k)) * max(1, k)
-    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    check_limit("cost_ceiling", cost)
     rng = rngutil.generator(seed)
     candidates = tuple(combinations(range(n), k))
     avoiders = Counter()

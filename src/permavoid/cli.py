@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -29,6 +30,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__, avoidance, contraction, extremal, gridhg
+from .config import Limits, override_limits
 from .errors import CapExceededError
 from .hypergraphs import (
     KUniformHypergraph,
@@ -239,12 +241,12 @@ MIN_COPIES_FIELDS = [
 
 
 def _cmd_count(args):
-    c = count_occurrences(args.sigma, args.pi, cost_ceiling=args.cost_ceiling)
+    c = count_occurrences(args.sigma, args.pi)
     return {"sigma": args.sigma.to_text(), "pi": args.pi.to_text(), "count": c}
 
 
 def _cmd_occurrences(args):
-    occ = enumerate_occurrences(args.sigma, args.pi, cost_ceiling=args.cost_ceiling)
+    occ = enumerate_occurrences(args.sigma, args.pi)
     return {
         "sigma": args.sigma.to_text(),
         "pi": args.pi.to_text(),
@@ -254,15 +256,13 @@ def _cmd_occurrences(args):
 
 
 def _cmd_distribution(args):
-    dist = copy_count_distribution(args.n, args.pi, cap=args.enum_cap)
+    dist = copy_count_distribution(args.n, args.pi)
     return dist.to_json_dict()
 
 
 def _cmd_avoiders(args):
     lam = _lambda_for(args)
-    rep = avoidance.enumerate_avoiders(
-        args.n, args.pi, lam, collect=args.list, cap=args.enum_cap
-    )
+    rep = avoidance.enumerate_avoiders(args.n, args.pi, lam, collect=args.list)
     out = {
         "n": rep.n,
         "k": rep.k,
@@ -292,7 +292,7 @@ def _cmd_expect(args):
     k = args.k if args.k is not None else len(args.pi)
     grid = args.alpha_grid
     reports = avoidance.exact_expected_avoiders_grid(
-        args.n, k, args.pi, [args.alpha] if grid is None else grid, args.enum_cap)
+        args.n, k, args.pi, [args.alpha] if grid is None else grid)
     cells = [_expect_cell(args.pi, rep) for rep in reports]
     return cells[0] if grid is None else ({"grid": cells}, cells, EXPECT_FIELDS)
 
@@ -302,14 +302,10 @@ def _cmd_expect_mc(args):
     if args.estimator == "sigma":
         check_dims(args.n, k, args.n, len(args.pi))
         est = avoidance.mc_expected_avoiders_by_sigma(
-            args.n, args.pi, args.alpha, args.samples, args.seed,
-            cost_ceiling=args.cost_ceiling,
-        )
+            args.n, args.pi, args.alpha, args.samples, args.seed)
     else:
         est = avoidance.mc_expected_avoiders_by_lambda(
-            args.n, k, args.pi, args.alpha, args.samples, args.seed,
-            cap=args.enum_cap, cost_ceiling=args.cost_ceiling,
-        )
+            args.n, k, args.pi, args.alpha, args.samples, args.seed)
     return {
         "estimator": est.method,
         "n": est.n,
@@ -325,13 +321,12 @@ def _cmd_expect_mc(args):
 
 
 def _cmd_hypergraph(args):
-    h = random_uniform_hypergraph(args.n, args.k, args.alpha, args.seed,
-                                  ceiling=args.edge_ceiling)
+    h = random_uniform_hypergraph(args.n, args.k, args.alpha, args.seed)
     return h.to_json_dict()
 
 
 def _cmd_lambda_star(args):
-    lam = multipartite_lambda_star(args.n, args.k, ceiling=args.edge_ceiling)
+    lam = multipartite_lambda_star(args.n, args.k)
     return lam.to_json_dict()
 
 
@@ -377,7 +372,7 @@ def _cmd_preimage(args):
 
 
 def _cmd_extremal(args):
-    m = extremal.extremal_block_diagonal(args.n, args.a, args.subset_ceiling)
+    m = extremal.extremal_block_diagonal(args.n, args.a)
     report = {
         "n": args.n,
         "a": args.a,
@@ -385,7 +380,7 @@ def _cmd_extremal(args):
         "blocks": args.n * args.n // args.a,
     } | _matrix_report(m)
     if args.pi is not None:
-        check_densities(m, args.pi, args.cost_ceiling)  # as sample-density's exact pass
+        check_densities(m, args.pi)  # as sample-density's exact pass
         k = len(args.pi)
         bound = Fraction(args.a ** (2 * k - 1), args.n ** (2 * k - 2))
         report["pi"] = args.pi.to_text()
@@ -397,8 +392,8 @@ def _cmd_extremal(args):
     return report
 
 
-def _min_copies_cell(n: int, a: int, pi: Permutation, cap) -> dict:
-    rep = extremal.min_copies_brute(n, a, pi, cap=cap)
+def _min_copies_cell(n: int, a: int, pi: Permutation) -> dict:
+    rep = extremal.min_copies_brute(n, a, pi)
     return {
         "n": rep.n,
         "a": rep.a,
@@ -413,18 +408,13 @@ def _min_copies_cell(n: int, a: int, pi: Permutation, cap) -> dict:
 
 def _cmd_min_copies(args):
     if args.a_grid is not None:
-        cells = [
-            _min_copies_cell(args.n, a, args.pi, args.matrix_cap)
-            for a in args.a_grid
-        ]
+        cells = [_min_copies_cell(args.n, a, args.pi) for a in args.a_grid]
         return {"grid": cells}, cells, MIN_COPIES_FIELDS
-    return _min_copies_cell(args.n, args.a, args.pi, args.matrix_cap)
+    return _min_copies_cell(args.n, args.a, args.pi)
 
 
 def _cmd_max_ones(args):
-    cap = args.matrix_cap if args.mode == "exhaustive" else args.enum_cap
-    rep = extremal.max_ones_avoiding(args.n, args.pi, method=args.mode, cap=cap,
-                                     cost_ceiling=args.cost_ceiling)
+    rep = extremal.max_ones_avoiding(args.n, args.pi, method=args.mode)
     return {
         "n": rep.n,
         "pi": rep.pattern.to_text(),
@@ -440,7 +430,7 @@ def _cmd_sna(args):
     fam = extremal.sna_family(args.n, args.a)
     report = {"n": fam.n, "a": fam.a, "q": fam.q, "r": fam.r, "size": fam.size}
     if args.pi is not None:
-        ver = extremal.verify_sna_budget(args.n, args.a, args.pi, cap=args.enum_cap)
+        ver = extremal.verify_sna_budget(args.n, args.a, args.pi)
         report |= {
             "pi": args.pi.to_text(),
             "budget": ver.budget,
@@ -449,19 +439,19 @@ def _cmd_sna(args):
             "within_budget": ver.within_budget,
         }
     if args.list:
-        report["members"] = [p.to_text() for p in fam.members(args.enum_cap)]
+        report["members"] = [p.to_text() for p in fam.members()]
     return report
 
 
 def _cmd_snm(args):
-    c = extremal.count_snm(args.n, args.m, args.pi, cap=args.enum_cap)
+    c = extremal.count_snm(args.n, args.m, args.pi)
     return {"n": args.n, "m": args.m, "pi": args.pi.to_text(), "count": c}
 
 
 def _build_h(args):
     """The grid hypergraph and the edge count of its index hypergraph."""
     lam = _lambda_for(args)
-    h = gridhg.build_h(args.n, args.pi, lam, ceiling=args.edge_ceiling)
+    h = gridhg.build_h(args.n, args.pi, lam)
     return h, math.comb(h.n, h.k) if lam is None else lam.edge_count
 
 
@@ -489,7 +479,7 @@ def _cmd_delta(args):
 
 def _cmd_independents(args):
     h, lambda_edges = _build_h(args)
-    count = gridhg.count_independent_of_size(h, args.size, ceiling=args.subset_ceiling)
+    count = gridhg.count_independent_of_size(h, args.size)
     return {
         "grid_side": h.n,
         "k": h.k,
@@ -504,11 +494,10 @@ def _cmd_sample_density(args):
     m = _load_matrix(args.from_file)
     # Both passes are refused before either runs: trials and r (exit 2),
     # then the sampling and the exact cost (exit 3).
-    check_sampling(m, args.pi, args.r, args.trials, args.cost_ceiling)
-    check_densities(m, args.pi, args.cost_ceiling)
-    rep = sampling_estimates(m, args.pi, args.r, args.trials, args.seed,
-                             cost_ceiling=args.cost_ceiling)
-    exact = densities(m, args.pi, cost_ceiling=args.cost_ceiling)
+    check_sampling(m, args.pi, args.r, args.trials)
+    check_densities(m, args.pi)
+    rep = sampling_estimates(m, args.pi, args.r, args.trials, args.seed)
+    exact = densities(m, args.pi)
     return {
         "pi": args.pi.to_text(),
         "r": rep.r,
@@ -750,8 +739,13 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
+    # Each limit's flag has the name of its field.  Unset flags keep the
+    # environment's value, read here so that a malformed one exits 2.
+    limits = {f.name: v for f in dataclasses.fields(Limits)
+              if (v := getattr(args, f.name)) is not None}
     try:
-        result = args.func(args)
+        with override_limits(**limits):
+            result = args.func(args)
         if isinstance(result, tuple):
             report, rows, fields = result
         else:

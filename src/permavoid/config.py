@@ -1,91 +1,103 @@
 """Work limits for the exhaustive operations.
 
 Every full pass over S_n or over a matrix/subset space is gated by one
-of these limits so a typo'd CLI argument fails fast instead of running
-for days.  Defaults can be overridden per call (every gated function
-takes an explicit ``cap=``/``ceiling=`` argument) or process-wide via
-environment variables:
+of five limits, so a typo'd CLI argument fails fast instead of running
+for days.  Each limit has one name: it is the ``Limits`` field, the
+label of the refusal, the CLI flag (``enum_cap`` is ``--enum-cap``)
+and the environment variable (``PERMAVOID_ENUM_CAP``).  There is one
+gate, :func:`check_limit`, and one way to change a limit for a stretch
+of code, :func:`override_limits`.  The environment is read once, on
+first use, not at import, so a malformed value is an error of the run
+that meets it.
 
-    PERMAVOID_ENUM_CAP        max n for full S_n passes        (default 12)
-    PERMAVOID_MATRIX_CAP      max n for the exhaustive n x n
-                              matrix searches (min-copies and
-                              max-ones --mode exhaustive)      (default 4)
-    PERMAVOID_EDGE_CEILING    max edge count when building the
-                              grid pattern hypergraph, and max
-                              C(n,k) candidate edges listed by
-                              hypergraph and lambda-star       (default 500000)
-    PERMAVOID_SUBSET_CEILING  max candidate-subset count for
-                              exact independent-set counting,
-                              max n^2 cells of the extremal
-                              matrix                           (default 5000000)
-    PERMAVOID_COST_CEILING    max C(n,k) * k for the occurrences
-                              of one permutation, samples * n!
-                              * C(n,k) * k for hypergraph
-                              sampling, samples * C(n,k) * k
-                              for sigma sampling, trials *
-                              C(r,k) * k * r for submatrix
-                              sampling, C(rows,k) * k * cols
-                              for the exact copy density of a
-                              matrix and the copies counted by
-                              extremal --pi, the sum over states
-                              of 2^n plus the state's bytes
-                              for the max-ones row transfer    (default 5e9)
+    enum_cap        max n for full S_n passes                  (default 12)
+    matrix_cap      max n for the exhaustive n x n matrix
+                    searches (min-copies and max-ones
+                    --mode exhaustive)                         (default 4)
+    edge_ceiling    max edge count when building the grid
+                    pattern hypergraph, and max C(n,k)
+                    candidate edges listed by hypergraph and
+                    lambda-star                                (default 500000)
+    subset_ceiling  max candidate-subset count for exact
+                    independent-set counting, max n^2 cells
+                    of the extremal matrix                     (default 5000000)
+    cost_ceiling    max C(n,k) * k for the occurrences of one
+                    permutation, samples * n! * C(n,k) * k for
+                    hypergraph sampling, samples * C(n,k) * k
+                    for sigma sampling, trials * C(r,k) * k * r
+                    for submatrix sampling, C(rows,k) * k *
+                    cols for the exact copy density of a matrix
+                    and the copies counted by extremal --pi,
+                    the sum over states of 2^n plus the
+                    state's bytes for the max-ones row
+                    transfer                                   (default 5e9)
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields, replace
+from functools import cache
+from typing import Iterator
 
 from .errors import CapExceededError
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     enum_cap: int = 12
     matrix_cap: int = 4
     edge_ceiling: int = 500_000
     subset_ceiling: int = 5_000_000
-    mc_cost_ceiling: int = 5_000_000_000
+    cost_ceiling: int = 5_000_000_000
 
     @classmethod
     def from_env(cls) -> "Limits":
-        return cls(
-            enum_cap=_env_int("PERMAVOID_ENUM_CAP", cls.enum_cap),
-            matrix_cap=_env_int("PERMAVOID_MATRIX_CAP", cls.matrix_cap),
-            edge_ceiling=_env_int("PERMAVOID_EDGE_CEILING", cls.edge_ceiling),
-            subset_ceiling=_env_int("PERMAVOID_SUBSET_CEILING", cls.subset_ceiling),
-            mc_cost_ceiling=_env_int("PERMAVOID_COST_CEILING", cls.mc_cost_ceiling),
-        )
+        """The defaults, each replaced by its ``PERMAVOID_<NAME>``
+        variable where that is set."""
+        values = {}
+        for field in fields(cls):
+            var = f"PERMAVOID_{field.name.upper()}"
+            raw = os.environ.get(var)
+            if raw is not None:
+                try:
+                    values[field.name] = int(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"environment variable {var}={raw!r} is not an integer"
+                    ) from None
+        return cls(**values)
 
 
-LIMITS = Limits.from_env()
+_env_limits = cache(Limits.from_env)
+_override: ContextVar["Limits | None"] = ContextVar("permavoid_limits", default=None)
 
 
-def check_enum_cap(n: int, cap: int | None = None) -> None:
-    """Refuse a full S_n pass when n exceeds the enumeration cap."""
-    limit = LIMITS.enum_cap if cap is None else cap
-    if n > limit:
-        raise CapExceededError("enum_cap", limit, n)
+def check_limit(name: str, requested: int) -> None:
+    """Refuse work of size ``requested`` above the limit ``name``."""
+    limit = getattr(_override.get() or _env_limits(), name)
+    if requested > limit:
+        raise CapExceededError(name, limit, requested)
 
 
-def check_matrix_cap(n: int, cap: int | None = None) -> None:
-    limit = LIMITS.matrix_cap if cap is None else cap
-    if n > limit:
-        raise CapExceededError("matrix_cap", limit, n)
+@contextmanager
+def override_limits(**values: int) -> Iterator[Limits]:
+    """Replace the named limits for the body of a ``with``.
 
+    The other limits keep the values in force: the enclosing
+    override's, or the environment's outside any.  Yields the limits in
+    force inside.  An unknown name raises TypeError.  Overrides nest,
+    and each restores the one outside it on exit, also on an exception.
 
-def check_ceiling(name: str, value: int, ceiling: int | None, default: int) -> None:
-    limit = default if ceiling is None else ceiling
-    if value > limit:
-        raise CapExceededError(name, limit, value)
+    Generators (``enumerate_permutations``, ``SnaFamily.members`` and
+    ``member_blocks``, ``exact_expected_avoiders_grid``) check their
+    limit on the first ``next()``, so the ``with`` must span the
+    iteration, not just the call.
+    """
+    token = _override.set(replace(_override.get() or _env_limits(), **values))
+    try:
+        yield _override.get()
+    finally:
+        _override.reset(token)

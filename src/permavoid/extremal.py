@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels, rngutil
-from .config import LIMITS, check_ceiling, check_enum_cap, check_matrix_cap
+from .config import check_limit
 from .matrices import BinaryMatrix
 from .perms import PermLike, Permutation, as_permutation, copy_count_distribution
 
@@ -49,8 +49,6 @@ def max_ones_avoiding(
     n: int,
     pi: PermLike,
     method: str = "exhaustive",
-    cap: int | None = None,
-    cost_ceiling: int | None = None,
 ) -> MaxOnesReport:
     """Maximum number of ones in an n x n 0-1 matrix with no copy of
     the pattern matrix of pi.
@@ -60,7 +58,7 @@ def max_ones_avoiding(
     matrix cap; its witness is the optimum of least mask value (cell
     (i, j) is bit i*n + j).  ``method="search"`` is gated by the
     enumeration cap; its witness is the lex-greatest optimum in
-    row-major cell order.  Both are gated by ``cost_ceiling``, charged
+    row-major cell order.  Both are gated by the cost ceiling, charged
     2^n plus the state's bytes per state of the program.
 
     >>> max_ones_avoiding(2, (1, 2)).max_ones
@@ -72,18 +70,18 @@ def max_ones_avoiding(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if method == "exhaustive":
-        check_matrix_cap(n, cap)
+        check_limit("matrix_cap", n)
         # Flipping the rows maps copies of pi to copies of pi reversed, and
         # the least mask value has its last row most significant: on the
         # flipped matrix it is the first optimum in ascending row order.
         witness = _max_ones_row_transfer(
-            n, p.zero_based[::-1], cost_ceiling, range(1 << n)).flip_rows()
+            n, p.zero_based[::-1], range(1 << n)).flip_rows()
     elif method == "search":
-        check_enum_cap(n, cap)
+        check_limit("enum_cap", n)
         # Column 0 most significant, 1 before 0.
         order = sorted(range(1 << n), key=lambda m: format(m, f"0{n}b")[::-1],
                        reverse=True)
-        witness = _max_ones_row_transfer(n, p.zero_based, cost_ceiling, order)
+        witness = _max_ones_row_transfer(n, p.zero_based, order)
     else:
         raise ValueError(f"unknown method {method!r}")
     return MaxOnesReport(
@@ -96,9 +94,7 @@ def max_ones_avoiding(
     )
 
 
-def _max_ones_row_transfer(
-    n: int, pi0: tuple[int, ...], cost_ceiling: int | None, order
-) -> BinaryMatrix:
+def _max_ones_row_transfer(n: int, pi0: tuple[int, ...], order) -> BinaryMatrix:
     """Dynamic program over rows for the most ones with no copy of pi0.
 
     A matrix row serves at most one pattern row, so rows 0..i-1 pass on
@@ -192,7 +188,7 @@ def _max_ones_row_transfer(
             return 0
         if state not in memo[i]:
             spent += unit + (state.bit_length() + 7) // 8
-            check_ceiling("cost_ceiling", spent, cost_ceiling, LIMITS.mc_cost_ceiling)
+            check_limit("cost_ceiling", spent)
             kill, grow = expand(state)
             rest, top = n * (n - 1 - i), -1
             for m, ones in by_ones:
@@ -230,9 +226,7 @@ class MinCopiesReport:
     method: str
 
 
-def min_copies_brute(
-    n: int, a: int, pi: PermLike, cap: int | None = None
-) -> MinCopiesReport:
+def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     """Exact minimum of the copy count over all n x n matrices with
     exactly ``a`` ones, by enumerating the C(n*n, a) supports.
 
@@ -247,7 +241,7 @@ def min_copies_brute(
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= a <= n * n:
         raise ValueError(f"ones count {a} outside 0..{n * n}")
-    check_matrix_cap(n, cap)
+    check_limit("matrix_cap", n)
     k = len(p)
     best = None
     supports = combinations(range(n * n), a)
@@ -279,7 +273,7 @@ def min_copies_brute(
     )
 
 
-def extremal_block_diagonal(n: int, a: int, ceiling: int | None = None) -> BinaryMatrix:
+def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
     """The diagonal-blocks matrix: n/(a/n) all-ones blocks of side a/n
     along the diagonal, a ones in total.
 
@@ -296,7 +290,7 @@ def extremal_block_diagonal(n: int, a: int, ceiling: int | None = None) -> Binar
         raise ValueError(f"n={n} must divide a={a} (block side a/n)")
     if (n * n) % a:
         raise ValueError(f"a={a} must divide n^2={n * n} (whole number of blocks)")
-    check_ceiling("subset_ceiling", n * n, ceiling, LIMITS.subset_ceiling)
+    check_limit("subset_ceiling", n * n)
     side = a // n
     block = (1 << side) - 1
     bits = tuple(block << (side * (i // side)) for i in range(n))
@@ -339,13 +333,13 @@ class SnaFamily:
     r: int
     size: int
 
-    def member_blocks(self, cap: int | None = None) -> Iterator[np.ndarray]:
+    def member_blocks(self) -> Iterator[np.ndarray]:
         """All members in lexicographic order, as (B, n) blocks of
         0-based values (uint8 up to n = 255) with B <= ``rngutil.BLOCK``,
         gated by the enumeration cap.  Member number t is read off the
         mixed-radix digits of t, one lex rank per run, the last run
         fastest."""
-        check_enum_cap(self.n, cap)
+        check_limit("enum_cap", self.n)
         runs = [range(j * self.a + 1, (j + 1) * self.a + 1) for j in range(self.q)]
         if self.r:
             runs.append(range(self.q * self.a + 1, self.n + 1))
@@ -358,9 +352,9 @@ class SnaFamily:
                 parts.append(_lex_unrank(digit, len(run), dtype) + (run.start - 1))
             yield np.concatenate(parts[::-1], axis=1)
 
-    def members(self, cap: int | None = None) -> Iterator[Permutation]:
+    def members(self) -> Iterator[Permutation]:
         """All members in lexicographic order (gated by the enumeration cap)."""
-        for blk in self.member_blocks(cap):
+        for blk in self.member_blocks():
             for values in (blk + 1).tolist():
                 yield Permutation(tuple(values))
 
@@ -407,9 +401,7 @@ class SnaBudgetReport:
     within_budget: bool
 
 
-def verify_sna_budget(
-    n: int, a: int, pi: PermLike, cap: int | None = None
-) -> SnaBudgetReport:
+def verify_sna_budget(n: int, a: int, pi: PermLike) -> SnaBudgetReport:
     """Stream every family member, in blocks of ``member_blocks``, and
     measure its copy count of pi with ``kernels.occurrence_counts``.
 
@@ -433,7 +425,7 @@ def verify_sna_budget(
     pi0 = p.zero_based
     max_observed = 0
     checked = 0
-    for blk in family.member_blocks(cap):
+    for blk in family.member_blocks():
         max_observed = max(max_observed, *kernels.occurrence_counts(blk, pi0))
         checked += len(blk)
     if checked != family.size:
@@ -452,12 +444,12 @@ def verify_sna_budget(
     )
 
 
-def count_snm(n: int, m: int, pi: PermLike, cap: int | None = None) -> int:
+def count_snm(n: int, m: int, pi: PermLike) -> int:
     """Number of permutations in S_n with at most m copies of pi
     (a prefix sum of the copy-count distribution).
 
     >>> count_snm(3, 1, (1, 2))
     3
     """
-    dist = copy_count_distribution(n, pi, cap)
+    dist = copy_count_distribution(n, pi)
     return dist.prefix_count(m)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .config import LIMITS, check_ceiling
+from .config import check_limit
 from .hypergraphs import KUniformHypergraph, check_dims
 from .perms import PermLike, Permutation, as_permutation
 
@@ -57,7 +57,6 @@ def build_h(
     n: int,
     pi: PermLike,
     lam: KUniformHypergraph | None,
-    ceiling: int | None = None,
 ) -> PatternHypergraph:
     """Construct H for the pattern and index hypergraph.
 
@@ -80,7 +79,7 @@ def build_h(
         check_dims(lam.n, lam.k, n, k)
         index_edges = lam.edges
         projected = lam.edge_count * math.comb(n, k)
-    check_ceiling("edge_ceiling", projected, ceiling, LIMITS.edge_ceiling)
+    check_limit("edge_ceiling", projected)
     edges = set()
     for xs in index_edges:
         for ys in combinations(range(1, n + 1), k):
@@ -129,9 +128,7 @@ def is_independent(h: PatternHypergraph, cells: Iterable[int]) -> bool:
     return not any(all(v in chosen for v in e) for e in h.edges)
 
 
-def count_independent_of_size(
-    h: PatternHypergraph, size: int, ceiling: int | None = None
-) -> int:
+def count_independent_of_size(h: PatternHypergraph, size: int) -> int:
     """Exact number of independent sets of the given size.
 
     Depth-first over cells in flat order; an edge is checked the
@@ -142,9 +139,7 @@ def count_independent_of_size(
     nn = h.vertex_count
     if not 0 <= size <= nn:
         return 0
-    check_ceiling(
-        "subset_ceiling", math.comb(nn, size), ceiling, LIMITS.subset_ceiling
-    )
+    check_limit("subset_ceiling", math.comb(nn, size))
     edges_by_max: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for e in h.edges:
         edges_by_max[e[-1]].append(e[:-1])

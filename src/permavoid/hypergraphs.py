@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rngutil
-from .config import LIMITS, check_ceiling
+from .config import check_limit
 from .errors import CliqueCoverError, DimensionMismatchError
 from .perms import as_int
 
@@ -148,7 +148,6 @@ def random_uniform_hypergraph(
     k: int,
     alpha: "Fraction | int | str",
     rng: "np.random.Generator | int",
-    ceiling: int | None = None,
 ) -> KUniformHypergraph:
     """Include each of the C(n,k) possible edges independently with
     probability alpha.
@@ -162,7 +161,7 @@ def random_uniform_hypergraph(
     alpha = rngutil.exact_probability(alpha)
     if k > n:
         raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
-    check_ceiling("edge_ceiling", math.comb(n, k), ceiling, LIMITS.edge_ceiling)
+    check_limit("edge_ceiling", math.comb(n, k))
     if isinstance(rng, int):
         rng = rngutil.generator(rng)
     candidates = list(combinations(range(1, n + 1), k))
@@ -170,9 +169,7 @@ def random_uniform_hypergraph(
     return KUniformHypergraph._trusted(n, k, tuple(compress(candidates, mask)))
 
 
-def multipartite_lambda_star(
-    n: int, k: int, ceiling: int | None = None
-) -> KUniformHypergraph:
+def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:
     """The two-part hypergraph whose edges are exactly the k-sets not
     contained in a single part.
 
@@ -190,7 +187,7 @@ def multipartite_lambda_star(
     half = n // 2
     if k > half:
         raise ValueError(f"k={k} exceeds part size {half}")
-    check_ceiling("edge_ceiling", math.comb(n, k), ceiling, LIMITS.edge_ceiling)
+    check_limit("edge_ceiling", math.comb(n, k))
     edges = [
         e
         for e in combinations(range(1, n + 1), k)

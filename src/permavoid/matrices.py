@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import kernels, rngutil
-from .config import LIMITS, check_ceiling
+from .config import check_limit
 from .perms import PermLike, Permutation, as_int, as_permutation
 
 
@@ -196,9 +196,7 @@ class DensityPair:
     pi_density: Fraction
 
 
-def densities(
-    a: BinaryMatrix, pi: PermLike, cost_ceiling: int | None = None
-) -> DensityPair:
+def densities(a: BinaryMatrix, pi: PermLike) -> DensityPair:
     """Both densities as exact rationals.
 
     The one-density is ones/(rows*cols); the copy density divides the
@@ -206,7 +204,7 @@ def densities(
     density 0.  Gated by :func:`check_densities` before any count.
     """
     p = as_permutation(pi)
-    check_densities(a, p, cost_ceiling)
+    check_densities(a, p)
     k = len(p)
     pairs = math.comb(a.rows, k) * math.comb(a.cols, k)
     return DensityPair(
@@ -215,12 +213,11 @@ def densities(
     )
 
 
-def check_densities(a: BinaryMatrix, pi: PermLike, cost_ceiling: int | None = None) -> None:
+def check_densities(a: BinaryMatrix, pi: PermLike) -> None:
     """Refuse :func:`densities` above the cost ceiling: its count sweeps
     cols columns for each of C(rows,k) row subsets and k pattern rows."""
     k = len(as_permutation(pi))
-    check_ceiling("cost_ceiling", math.comb(a.rows, k) * k * a.cols, cost_ceiling,
-                  LIMITS.mc_cost_ceiling)
+    check_limit("cost_ceiling", math.comb(a.rows, k) * k * a.cols)
 
 
 def _ratio(part: int, whole: int) -> Fraction:
@@ -233,9 +230,7 @@ def _check_sample_size(a: BinaryMatrix, r: int) -> None:
         raise ValueError(f"r={r} exceeds matrix dimensions {a.rows}x{a.cols}")
 
 
-def check_sampling(
-    a: BinaryMatrix, pi: PermLike, r: int, trials: int, cost_ceiling: int | None = None
-) -> None:
+def check_sampling(a: BinaryMatrix, pi: PermLike, r: int, trials: int) -> None:
     """Refuse :func:`sampling_estimates` for bad trials or r, then above
     the cost ceiling: each trial sweeps r columns for each of C(r,k) row
     subsets and k pattern rows, so its work is trials * C(r,k) * k * r."""
@@ -244,7 +239,7 @@ def check_sampling(
     _check_sample_size(a, r)
     k = len(as_permutation(pi))
     cost = trials * max(1, math.comb(r, k)) * max(1, k) * max(1, r)
-    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    check_limit("cost_ceiling", cost)
 
 
 @dataclass(frozen=True)
@@ -272,14 +267,13 @@ def sampling_estimates(
     r: int,
     trials: int,
     seed: int,
-    cost_ceiling: int | None = None,
 ) -> SamplingReport:
     """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices.
 
     Gated by :func:`check_sampling` before any draw.
     """
     p = as_permutation(pi)
-    check_sampling(a, p, r, trials, cost_ceiling)
+    check_sampling(a, p, r, trials)
     rng = rngutil.generator(seed)
     ones_tally, copies_tally = Counter(), Counter()  # over the r x r submatrices
     entries = kernels.unpack_rows(a.row_bits, a.cols)

@@ -22,7 +22,7 @@ from itertools import permutations as _lex_permutations
 from typing import Iterable, Iterator
 
 from . import kernels
-from .config import LIMITS, check_ceiling, check_enum_cap
+from .config import check_limit
 
 
 def as_int(value, what: str) -> int:
@@ -121,19 +121,17 @@ def as_permutation(p: PermLike) -> Permutation:
     return Permutation(tuple(p))
 
 
-def _walk(sigma: PermLike, pi: PermLike, cost_ceiling: int | None):
+def _walk(sigma: PermLike, pi: PermLike):
     """The occurrence walk of pi in sigma, refused first when its
     projected work C(n,k) * k passes the cost ceiling."""
     s = as_permutation(sigma)
     p = as_permutation(pi)
     cost = math.comb(len(s), len(p)) * len(p)
-    check_ceiling("cost_ceiling", cost, cost_ceiling, LIMITS.mc_cost_ceiling)
+    check_limit("cost_ceiling", cost)
     return kernels.occurrences(s.zero_based, p.zero_based)
 
 
-def count_occurrences(
-    sigma: PermLike, pi: PermLike, cost_ceiling: int | None = None
-) -> int:
+def count_occurrences(sigma: PermLike, pi: PermLike) -> int:
     """Number of occurrences of pi in sigma.
 
     >>> count_occurrences((2, 4, 1, 3), (1, 2))
@@ -141,12 +139,10 @@ def count_occurrences(
     >>> count_occurrences(Permutation.identity(5), (1, 2, 3))
     10
     """
-    return sum(1 for _ in _walk(sigma, pi, cost_ceiling))
+    return sum(1 for _ in _walk(sigma, pi))
 
 
-def enumerate_occurrences(
-    sigma: PermLike, pi: PermLike, cost_ceiling: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def enumerate_occurrences(sigma: PermLike, pi: PermLike) -> tuple[tuple[int, ...], ...]:
     """All occurrences of pi in sigma as 1-based index tuples.
 
     Tuples are strictly increasing and listed in lexicographic order.
@@ -154,12 +150,10 @@ def enumerate_occurrences(
     >>> enumerate_occurrences((2, 4, 1, 3), (1, 2))
     ((1, 2), (1, 4), (3, 4))
     """
-    return tuple(tuple(x + 1 for x in occ) for occ in _walk(sigma, pi, cost_ceiling))
+    return tuple(tuple(x + 1 for x in occ) for occ in _walk(sigma, pi))
 
 
-def enumerate_permutations(
-    n: int, prefix: Iterable[int] = (), cap: int | None = None
-) -> Iterator[Permutation]:
+def enumerate_permutations(n: int, prefix: Iterable[int] = ()) -> Iterator[Permutation]:
     """Yield permutations of {1..n} in lexicographic order.
 
     ``prefix`` restricts the stream to permutations beginning with the
@@ -167,7 +161,7 @@ def enumerate_permutations(
     the full stream, so a sweep of S_n can be split by prefix.
     Guarded by the enumeration cap.
     """
-    check_enum_cap(n, cap)
+    check_limit("enum_cap", n)
     pre = tuple(as_int(v, "prefix value") for v in prefix)
     if len(set(pre)) != len(pre) or not all(1 <= v <= n for v in pre):
         raise ValueError(f"prefix must be distinct values in 1..{n}: {pre!r}")
@@ -214,15 +208,13 @@ class CopyCountDistribution:
         }
 
 
-def copy_count_distribution(
-    n: int, pi: PermLike, cap: int | None = None
-) -> CopyCountDistribution:
+def copy_count_distribution(n: int, pi: PermLike) -> CopyCountDistribution:
     """Exact copy-count histogram over all of S_n (one full pass).
 
     >>> copy_count_distribution(3, (1, 2)).histogram
     {0: 1, 1: 2, 2: 2, 3: 1}
     """
-    check_enum_cap(n, cap)
+    check_limit("enum_cap", n)
     p = as_permutation(pi)
     hist = kernels.copy_count_histogram(n, p.zero_based)
     return CopyCountDistribution(

@@ -90,7 +90,7 @@ def test_02_crossing_hypergraph_avoider_family():
     ok = (
         rep4.count == math.factorial(2) ** 2
         and names == ["3,4,1,2", "3,4,2,1", "4,3,1,2", "4,3,2,1"]
-        and rep6.count >= math.factorial(3) ** 2
+        and rep6.count == math.factorial(3) ** 2
         and elapsed < 60
     )
     _report(

@@ -75,6 +75,18 @@ def test_lambda_star_avoiders_golden():
     }
 
 
+@pytest.mark.parametrize("pi", [(1, 2), (2, 1)])
+def test_lambda_star_forces_one_half_onto_the_low_values(pi):
+    # Every crossing pair is an edge, so an avoider of 12 puts the high
+    # half of the values on the first half of the positions (of 21, the
+    # low half), in any order within each half: ((n/2)!)^2 avoiders.
+    for n in (4, 6):
+        edges = multipartite_lambda_star(n, 2).edges
+        assert len(oracles.avoiders_naive(n, pi, edges)) == math.factorial(n // 2) ** 2
+    rep = enumerate_avoiders(10, pi, multipartite_lambda_star(10, 2))
+    assert rep.count == math.factorial(5) ** 2 == 14_400
+
+
 def test_avoiders_without_collect_leaves_list_unset():
     rep = enumerate_avoiders(3, (1, 2), KUniformHypergraph.complete(3, 2))
     assert rep.count == 1

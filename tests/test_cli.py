@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -146,6 +147,17 @@ def test_avoiders_with_lambda_file(capsys, tmp_path):
     assert data["count"] == 4
     assert data["avoiders"] == ["3,4,1,2", "3,4,2,1", "4,3,1,2", "4,3,2,1"]
     assert data["lambda_edges"] == 4
+
+
+def test_lambda_star_round_trip_forces_the_halves(capsys, tmp_path):
+    # Lambda* at k = 2 forbids 21 on every crossing pair: the first half
+    # takes the low values, so ((n/2)!)^2 permutations avoid it.
+    lam = tmp_path / "star.json"
+    lam.write_text(json.dumps(run_json(capsys, "lambda-star", "--n", "10", "--k", "2")))
+    data = run_json(capsys, "avoiders", "--n", "10", "--pi", "2,1",
+                    "--lambda-file", str(lam))
+    assert data["count"] == 120 ** 2
+    assert data["lambda_edges"] == 5 * 5
 
 
 def test_avoiders_over_disjoint_cliques(capsys, tmp_path):
@@ -955,3 +967,18 @@ def test_console_entry_point_matches_in_process(capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == inproc
+
+
+def test_malformed_limit_env_exits_2():
+    # The environment is read when a run first needs a limit, not at
+    # import, so a bad value is an input error of the run.
+    env = dict(os.environ, PERMAVOID_ENUM_CAP="abc")
+    proc = subprocess.run([sys.executable, "-m", "permavoid.cli", "distribution",
+                           "--n", "4", "--pi", "1,2"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: environment variable PERMAVOID_ENUM_CAP='abc'")
+    assert "Traceback" not in proc.stderr
+    proc = subprocess.run([sys.executable, "-c", "import permavoid"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ import pytest
 import permavoid
 from permavoid import (
     avoidance,
+    config,
     contraction,
     extremal,
     gridhg,
@@ -28,10 +29,13 @@ def test_module_doctests(module):
     assert result.attempted > 0
 
 
-# Names that no subcommand, README line or acceptance test reached, and
-# that were deleted; none may come back by accident.
+# Names that were deleted, none of which may come back by accident: those
+# no subcommand, README line or acceptance test reached, and the limit
+# globals and gates that ``override_limits`` and ``check_limit`` replace.
 DELETED = [
-    (permavoid, ("contains", "matrix_contains", "random_submatrix", "max_clique_size")),
+    (permavoid, ("contains", "matrix_contains", "random_submatrix", "max_clique_size",
+                 "LIMITS")),
+    (config, ("LIMITS", "check_enum_cap", "check_matrix_cap", "check_ceiling")),
     (kernels, ("matrix_contains_perm",)),
     (perms, ("contains",)),
     (perms.Permutation, ("complement", "inverse")),

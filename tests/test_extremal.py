@@ -13,6 +13,7 @@ from permavoid import (
     extremal_block_diagonal,
     max_ones_avoiding,
     min_copies_brute,
+    override_limits,
     permutation_matrix,
     sna_copy_budget,
     sna_family,
@@ -103,9 +104,10 @@ def test_max_ones_validation_and_caps():
         max_ones_avoiding(2, ())
     with pytest.raises(CapExceededError):
         max_ones_avoiding(5, (1, 2))  # 2^25 masks is past the default cap
-    with pytest.raises(CapExceededError):
-        max_ones_avoiding(3, (1, 2), cap=2)  # explicit caps may also lower
-    assert max_ones_avoiding(4, (1, 2), cap=4).max_ones == 7  # ex = 2n-1
+    with override_limits(matrix_cap=2), pytest.raises(CapExceededError):
+        max_ones_avoiding(3, (1, 2))  # overrides may also lower
+    with override_limits(matrix_cap=4):
+        assert max_ones_avoiding(4, (1, 2)).max_ones == 7  # ex = 2n-1
 
 
 # ---------------------------------------------------------- min copies
@@ -232,7 +234,8 @@ def test_sna_members_and_budget_match_oracle(n, a):
 def test_sna_members_keep_values_past_one_byte():
     # Values 1..256 reach past a uint8 block of 0-based values plus one.
     for n in (255, 256, 257):
-        assert [p.values for p in sna_family(n, 1).members(cap=n)] == [tuple(range(1, n + 1))]
+        with override_limits(enum_cap=n):
+            assert [p.values for p in sna_family(n, 1).members()] == [tuple(range(1, n + 1))]
 
 
 def test_sna_members_with_runs_past_int64_radix():
@@ -240,12 +243,13 @@ def test_sna_members_with_runs_past_int64_radix():
     # The first members of one run of 21 are the first permutations of it;
     # with a remainder of 2 they step the remainder fastest.
     first = list(itertools.islice(itertools.permutations(range(1, 22)), 5))
-    members = sna_family(21, 21).members(cap=21)
-    assert [p.values for p in itertools.islice(members, 5)] == first
     tails = list(itertools.permutations((22, 23)))
     want = [head + tail for head in first[:3] for tail in tails][:5]
-    members = sna_family(23, 21).members(cap=23)
-    assert [p.values for p in itertools.islice(members, 5)] == want
+    with override_limits(enum_cap=23):
+        members = sna_family(21, 21).members()
+        assert [p.values for p in itertools.islice(members, 5)] == first
+        members = sna_family(23, 21).members()
+        assert [p.values for p in itertools.islice(members, 5)] == want
 
 
 def test_sna_family_validation():

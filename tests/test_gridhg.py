@@ -17,6 +17,7 @@ from permavoid import (
     flat_index,
     is_independent,
     lambda_contains,
+    override_limits,
 )
 
 import oracles
@@ -65,10 +66,11 @@ def test_build_h_validation_and_ceiling():
         build_h(3, (1, 2), KUniformHypergraph.complete(4, 2))
     with pytest.raises(DimensionMismatchError):
         build_h(3, (1, 2, 3), KUniformHypergraph.complete(3, 2))
-    with pytest.raises(CapExceededError):
-        build_h(3, (1, 2), KUniformHypergraph.complete(3, 2), ceiling=5)
-    with pytest.raises(CapExceededError):
-        build_h(3, (1, 2), None, ceiling=5)
+    with override_limits(edge_ceiling=5):
+        with pytest.raises(CapExceededError):
+            build_h(3, (1, 2), KUniformHypergraph.complete(3, 2))
+        with pytest.raises(CapExceededError):
+            build_h(3, (1, 2), None)
 
 
 def test_canonical_round_trip():
@@ -120,8 +122,8 @@ def test_count_independent_golden_and_oracle():
 
 def test_count_independent_subset_ceiling():
     h = build_h(3, (1, 2), KUniformHypergraph.complete(3, 2))
-    with pytest.raises(CapExceededError):
-        count_independent_of_size(h, 4, ceiling=10)
+    with override_limits(subset_ceiling=10), pytest.raises(CapExceededError):
+        count_independent_of_size(h, 4)
 
 
 def test_delta_golden_and_oracle():

@@ -17,6 +17,7 @@ from permavoid import (
     enumerate_occurrences,
     enumerate_permutations,
     kernels,
+    override_limits,
 )
 import oracles
 
@@ -161,9 +162,10 @@ def test_enumerate_permutations_rejects_bad_prefix():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         list(enumerate_permutations(13))
-    # An explicit cap raises the limit.
-    gen = enumerate_permutations(13, cap=13)
-    assert next(gen).values == tuple(range(1, 14))
+    # An override raises the limit; the check runs on the first next().
+    gen = enumerate_permutations(13)
+    with override_limits(enum_cap=13):
+        assert next(gen).values == tuple(range(1, 14))
     gen.close()
 
 
@@ -206,14 +208,16 @@ def test_count_and_enumerate_refuse_before_walking():
         count_occurrences(big, (1, 2, 3, 4))
     with pytest.raises(CapExceededError):
         enumerate_occurrences(big, (4, 3, 2, 1))
-    with pytest.raises(CapExceededError):
-        count_occurrences(Permutation.identity(1000), (1, 2, 3), cost_ceiling=1000)
-    assert count_occurrences((2, 4, 1, 3), (1, 2), cost_ceiling=12) == 3
-    with pytest.raises(CapExceededError):
-        count_occurrences((2, 4, 1, 3), (1, 2), cost_ceiling=11)
+    with override_limits(cost_ceiling=1000), pytest.raises(CapExceededError):
+        count_occurrences(Permutation.identity(1000), (1, 2, 3))
+    with override_limits(cost_ceiling=12):
+        assert count_occurrences((2, 4, 1, 3), (1, 2)) == 3
+    with override_limits(cost_ceiling=11), pytest.raises(CapExceededError):
+        count_occurrences((2, 4, 1, 3), (1, 2))
     # k > n and k = 0 project no work.
-    assert count_occurrences((2, 1), (1, 2, 3), cost_ceiling=0) == 0
-    assert enumerate_occurrences((2, 1), (), cost_ceiling=0) == ((),)
+    with override_limits(cost_ceiling=0):
+        assert count_occurrences((2, 1), (1, 2, 3)) == 0
+        assert enumerate_occurrences((2, 1), ()) == ((),)
 
 
 def test_closed_forms_match_brute_force_on_s5():
