@@ -547,8 +547,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "and of the C(n,k) candidates that hypergraph and "
                         "lambda-star list")
     common.add_argument("--subset-ceiling", type=int, metavar="N",
-                        help="override the subset ceiling of independents and "
-                        "of the n^2 cells of the extremal report")
+                        help="override the subset ceiling of independents, of "
+                        "the C(n^2,a) supports of min-copies and of the n^2 "
+                        "cells of the extremal report")
     common.add_argument("--cost-ceiling", type=int, metavar="N",
                         help="override the work ceiling of count, occurrences, "
                         "the Monte-Carlo estimators, the max-ones search, the "

@@ -19,8 +19,10 @@ that meets it.
                     candidate edges listed by hypergraph and
                     lambda-star                                (default 500000)
     subset_ceiling  max candidate-subset count for exact
-                    independent-set counting, max n^2 cells
-                    of the extremal matrix                     (default 5000000)
+                    independent-set counting, max C(n^2, a)
+                    supports of min-copies (never 2^63 or
+                    more), max n^2 cells of the extremal
+                    matrix                                     (default 5000000)
     cost_ceiling    max C(n,k) * k for the occurrences of one
                     permutation, samples * n! * C(n,k) * k for
                     hypergraph sampling, samples * C(n,k) * k

@@ -76,9 +76,12 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     >>> contract_b(m, Fraction(3, 2)).row_lines()
     ['100000', '010000', '000000', '000000', '000000', '000001']
     """
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    p, q = b.numerator, b.denominator  # int keys hash faster than a Fraction
+    if type(b) is int:
+        p, q = b, 1
+    else:
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        p, q = b.numerator, b.denominator  # int keys hash faster than a Fraction
     if p < q:
         raise ValueError(f"contraction factor must be >= 1, got {b}")
     if m.rows != m.cols:
@@ -88,9 +91,13 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     merged = [0] * side
     for g, src in zip(groups, m.row_bits):
         merged[g] |= src
-    bits = [0] * side
-    for shift, table in tables:
-        bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
+    if len(tables) == 1:  # a side of at most 8: one lookup per row
+        table = tables[0][1]
+        bits = [table[row] for row in merged]
+    else:
+        bits = [0] * side
+        for shift, table in tables:
+            bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
     return BinaryMatrix._trusted(side, side, tuple(bits))
 
 

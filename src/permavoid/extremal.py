@@ -20,15 +20,18 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from . import kernels, rngutil
 from .config import check_limit
+from .errors import CapExceededError
 from .matrices import BinaryMatrix
 from .perms import PermLike, Permutation, as_permutation, copy_count_distribution
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -230,8 +233,10 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     """Exact minimum of the copy count over all n x n matrices with
     exactly ``a`` ones, by enumerating the C(n*n, a) supports.
 
-    Gated by the matrix cap, before any allocation.  The supports are
-    counted in blocks of ``rngutil.BLOCK`` by
+    Gated by the matrix cap, then by the subset ceiling charged the
+    C(n*n, a) supports, before any allocation; a count of 2^63 or more
+    is refused the same way, so the int64 ranks of ``_support_blocks``
+    never wrap.  Each of its blocks is counted by
     ``kernels.matrix_copy_counts``, and the search stops after the
     first block that holds a support with no copy.  The witness is the
     lexicographically first minimizing support.
@@ -242,14 +247,14 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     if not 0 <= a <= n * n:
         raise ValueError(f"ones count {a} outside 0..{n * n}")
     check_limit("matrix_cap", n)
+    total = math.comb(n * n, a)
+    check_limit("subset_ceiling", total)
+    if total > _INT64_MAX:
+        raise CapExceededError("subset_ceiling", _INT64_MAX, total)
     k = len(p)
     best = None
-    supports = combinations(range(n * n), a)
-    total = math.comb(n * n, a)
-    for start in range(0, total, rngutil.BLOCK):
-        size = min(rngutil.BLOCK, total - start)
-        flat = chain.from_iterable(islice(supports, size))
-        cells = np.fromiter(flat, np.intp, size * a).reshape(size, a)
+    for cells in _support_blocks(n * n, a):
+        size = len(cells)
         blk = np.zeros((size, n * n), np.uint8)
         np.put_along_axis(blk, cells, 1, axis=1)
         copies = kernels.matrix_copy_counts(blk.reshape(size, n, n), p.zero_based)
@@ -271,6 +276,30 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
         reference_bound=bound,
         method="exhaustive",
     )
+
+
+def _support_blocks(m: int, a: int) -> Iterator[np.ndarray]:
+    """The rows of ``itertools.combinations(range(m), a)`` in order, as
+    (B, a) intp blocks with B <= ``rngutil.BLOCK``, for C(m, a) < 2^63.
+
+    Each block is lex-unranked from its int64 ranks.  The lex rank of
+    c_0 < ... < c_{a-1} is C(m, a) - 1 - sum_j C(m - 1 - c_j, a - j),
+    so d_j = m - 1 - c_j is the largest d with C(d, a - j) at most what
+    is left of C(m, a) - 1 - rank: one ``searchsorted`` per position
+    over a cumulative binomial table, for the whole block at once.
+    Table entries past int64 are clipped; no rank reaches them.
+    """
+    total = math.comb(m, a)
+    tables = [np.array([min(math.comb(d, a - j), _INT64_MAX) for d in range(m)], np.int64)
+              for j in range(a)]
+    for start in range(0, total, rngutil.BLOCK):
+        left = total - 1 - np.arange(start, min(start + rngutil.BLOCK, total))
+        cells = np.empty((len(left), a), np.intp)
+        for j, table in enumerate(tables):
+            d = np.searchsorted(table, left, side="right") - 1
+            left -= table[d]
+            cells[:, j] = m - 1 - d
+        yield cells
 
 
 def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
@@ -300,7 +329,7 @@ def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:
 def _divmod(rank: np.ndarray, radix: int):
     """np.divmod(rank, radix) for int64 ranks; a radix past int64 leaves
     every rank whole, as the largest int64 divisor does."""
-    return np.divmod(rank, min(radix, np.iinfo(np.int64).max))
+    return np.divmod(rank, min(radix, _INT64_MAX))
 
 
 def _lex_unrank(rank: np.ndarray, m: int, dtype) -> np.ndarray:

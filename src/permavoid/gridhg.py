@@ -16,7 +16,7 @@ sorted integer tuples.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -131,37 +131,32 @@ def is_independent(h: PatternHypergraph, cells: Iterable[int]) -> bool:
 def count_independent_of_size(h: PatternHypergraph, size: int) -> int:
     """Exact number of independent sets of the given size.
 
-    Depth-first over cells in flat order; an edge is checked the
-    moment its largest cell is taken, so dependent branches die as
-    early as possible.  The candidate-subset count C(n^2, size) is
-    gated by the subset ceiling.
+    Depth-first over cells in flat order, with the chosen cells held
+    as an int bitmask.  Each edge is stored under its largest cell as
+    the mask of its other cells, its stem, and checked the moment that
+    cell is taken: the edge is complete when ``stem & chosen == stem``,
+    so dependent branches die as early as possible.  A one-cell edge
+    has an empty stem and blocks its cell always.  The candidate-subset
+    count C(n^2, size) is gated by the subset ceiling.
     """
     nn = h.vertex_count
     if not 0 <= size <= nn:
         return 0
     check_limit("subset_ceiling", math.comb(nn, size))
-    edges_by_max: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    stems: list[list[int]] = [[] for _ in range(nn)]
     for e in h.edges:
-        edges_by_max[e[-1]].append(e[:-1])
-    chosen: set[int] = set()
+        stems[e[-1]].append(sum(1 << u for u in e[:-1]))
 
-    def rec(start: int, need: int) -> int:
+    def rec(start: int, need: int, chosen: int) -> int:
         if need == 0:
             return 1
-        if nn - start < need:
-            return 0
         total = 0
         for v in range(start, nn - need + 1):
-            blocked = any(
-                all(u in chosen for u in stem) for stem in edges_by_max.get(v, ())
-            )
-            if not blocked:
-                chosen.add(v)
-                total += rec(v + 1, need - 1)
-                chosen.remove(v)
+            if not any(stem & chosen == stem for stem in stems[v]):
+                total += rec(v + 1, need - 1, chosen | 1 << v)
         return total
 
-    return rec(0, size)
+    return rec(0, size, 0)
 
 
 def delta_ell(h: PatternHypergraph, ell: int) -> int:

@@ -365,8 +365,11 @@ def avoider_counts(
 def unpack_rows(row_bits, ncols: int) -> np.ndarray:
     """Per-row column bitmasks as a (rows, cols) uint8 array of entries."""
     width = (ncols + 7) // 8
-    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in row_bits),
-                           np.uint8).reshape(len(row_bits), width)
+    if width == 1:
+        data = bytes(row_bits)
+    else:
+        data = b"".join(b.to_bytes(width, "little") for b in row_bits)
+    packed = np.frombuffer(data, np.uint8).reshape(len(row_bits), width)
     return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
 
 
@@ -376,28 +379,34 @@ def count_matrix_copies(
     """Copies of the pattern's permutation matrix inside a 0-1 matrix,
     without its all-zero rows, which can never host a 1.
 
-    A matrix of at most 64 cells is packed row-major into one word, and
-    a copy is a mask of ``_copy_masks`` with no cell outside it; a
-    larger matrix is ``matrix_copy_counts`` on a block of one.
+    A matrix of at most 64 cells is packed row-major into one word, row
+    i at bit i * stride, and a copy is a mask of ``_copy_masks`` with no
+    cell outside it; a larger matrix is ``matrix_copy_counts`` on a
+    block of one.  Up to 8 x 8 the stride is 8, so ``bytes`` packs the
+    rows without a Python loop; past that it is the column count.
     """
-    rows = [b for b in row_bits if b]
+    rows = [*filter(None, row_bits)]
     if len(rows) * ncols > 64:
         return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
     if len(pi) > min(len(rows), ncols):
         return 0  # and 1 x 64 would list all C(64, k) column subsets for no pair
-    word = 0
-    for i, b in enumerate(rows):
-        word |= b << (i * ncols)
-    masks = _copy_masks(len(rows), ncols, pi)
+    if ncols <= 8 and len(rows) <= 8:
+        stride, word = 8, int.from_bytes(bytes(rows), "little")
+    else:
+        stride, word = ncols, 0
+        for i, b in enumerate(rows):
+            word |= b << (i * ncols)
+    masks = _copy_masks(len(rows), ncols, stride, pi)
     missing = masks & np.uint64(~word & 0xFFFF_FFFF_FFFF_FFFF)  # a copy's cells holding 0
     return masks.size - int(np.count_nonzero(missing))
 
 
 @functools.lru_cache(maxsize=64)
-def _copy_masks(nrows: int, ncols: int, pi: tuple[int, ...]) -> np.ndarray:
+def _copy_masks(nrows: int, ncols: int, stride: int, pi: tuple[int, ...]) -> np.ndarray:
     """One uint64 mask per (row k-subset, column k-subset) pair of a
-    matrix of at most 64 cells, packed as in ``count_matrix_copies``:
-    the k cells where the pair puts the pattern's 1s.
+    matrix of at most 64 cells, packed as in ``count_matrix_copies``
+    with row i at bit i * stride: the k cells where the pair puts the
+    pattern's 1s.
 
     With k at most rows and cols, a table holds at most C(8,4)^2 = 4900
     masks (8x8, k = 4), 39 KB, so the cache holds at most 64 * 39 KB.
@@ -408,7 +417,7 @@ def _copy_masks(nrows: int, ncols: int, pi: tuple[int, ...]) -> np.ndarray:
     col_sets = np.array(list(itertools.combinations(range(ncols), k)), np.uint64)
     col_sets = col_sets.reshape(math.comb(ncols, k), k)
     # Pattern row i sits in row row_sets[:, i] and column col_sets[:, pi[i]].
-    cells = row_sets[:, None, :] * np.uint64(ncols) + col_sets[None, :, list(pi)]
+    cells = row_sets[:, None, :] * np.uint64(stride) + col_sets[None, :, list(pi)]
     masks = np.bitwise_or.reduce(np.uint64(1) << cells, axis=2).ravel()
     masks.flags.writeable = False  # shared by every caller through the cache
     return masks

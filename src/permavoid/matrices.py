@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import kernels, rngutil
@@ -36,16 +36,21 @@ class BinaryMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        bits = tuple(as_int(b, "packed row") for b in self.row_bits)
-        object.__setattr__(self, "row_bits", bits)
+        bits = self.row_bits
+        # A tuple of plain ints needs no coercion and one range check;
+        # the per-row loop below only names the first bad row.
+        if not (type(bits) is tuple and {*map(type, bits)} <= {int}):
+            bits = tuple(as_int(b, "packed row") for b in bits)
+            object.__setattr__(self, "row_bits", bits)
         if len(bits) != self.rows:
             raise ValueError(
                 f"got {len(bits)} packed rows for a {self.rows}-row matrix"
             )
         limit = 1 << self.cols
-        for i, b in enumerate(bits, start=1):
-            if not 0 <= b < limit:
-                raise ValueError(f"row {i} has bits outside {self.cols} columns")
+        if bits and not (min(bits) >= 0 and max(bits) < limit):
+            for i, b in enumerate(bits, start=1):
+                if not 0 <= b < limit:
+                    raise ValueError(f"row {i} has bits outside {self.cols} columns")
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> "BinaryMatrix":
@@ -54,15 +59,13 @@ class BinaryMatrix:
         skipped.  Input from outside goes through the public
         constructors."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "row_bits", row_bits)
+        m.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
         return m
 
-    @cached_property
+    @property
     def ones(self) -> int:
         """Number of 1-entries."""
-        return sum(b.bit_count() for b in self.row_bits)
+        return sum(map(int.bit_count, self.row_bits))
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""
@@ -173,7 +176,7 @@ def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
     >>> count_matrix_copies(permutation_matrix((2, 4, 1, 3)), (1, 2))
     3
     """
-    if type(pi) is tuple and all(type(v) is int for v in pi):
+    if type(pi) is tuple and {*map(type, pi)} <= {int}:
         # (True, 2) and (1.0, 2.0) hash and compare equal to (1, 2), so
         # only plain ints may reach the cache; Permutation refuses the rest.
         zero_based = _zero_based(pi)

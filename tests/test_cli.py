@@ -406,6 +406,23 @@ def test_min_copies_cli_grid(capsys):
     assert rows[2][1:4] == ["4", "1,2", "1"]
 
 
+def test_min_copies_charges_its_supports_to_the_subset_ceiling(capsys):
+    # C(16, 8) = 12870 supports, refused before the first block.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "min-copies", "--n", "4", "--pi", "1,2", "--a", "8",
+                             "--subset-ceiling", "12869")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "subset_ceiling" in err and "requested 12870" in err
+    # The matrix cap is checked first, and invalid input before either.
+    code, _, err = run_cli(capsys, "min-copies", "--n", "5", "--pi", "1,2", "--a", "8",
+                           "--subset-ceiling", "0")
+    assert code == 3 and "matrix_cap" in err
+    code, _, _ = run_cli(capsys, "min-copies", "--n", "4", "--pi", "1,2", "--a", "17",
+                         "--subset-ceiling", "0")
+    assert code == 2
+
+
 def test_max_ones_cli(capsys):
     data = run_json(capsys, "max-ones", "--n", "3", "--pi", "1,2",
                     "--mode", "search")
@@ -546,7 +563,22 @@ GOLDEN_LAMBDA = """9 3
 7 8 9
 """
 
-PLACEHOLDERS = {"MATRIX": GOLDEN_MATRIX, "LAMBDA": GOLDEN_LAMBDA, "EMPTY": "8 3\n"}
+# A sparse matrix whose 2-contraction keeps zeros, and a 4-cycle on the
+# rows of the 4 x 4 grid.
+GOLDEN_SPARSE = """8 8
+10000000
+00000000
+00100000
+00000000
+00000100
+00000000
+00000000
+00000011
+"""
+GOLDEN_GRID_LAMBDA = "4 2\n1 2\n1 4\n2 3\n3 4\n"
+
+PLACEHOLDERS = {"MATRIX": GOLDEN_MATRIX, "LAMBDA": GOLDEN_LAMBDA, "EMPTY": "8 3\n",
+                "SPARSE": GOLDEN_SPARSE, "GRID": GOLDEN_GRID_LAMBDA}
 
 GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "7", "--pi", "1,3,2",
@@ -704,6 +736,22 @@ GOLDEN_DIGESTS = [
     (["sample-density", "--from-file", "MATRIX", "--pi", "1,3,2", "--r", "8",
       "--trials", "60", "--seed", "5"],
      "6c155e79c3f4491858913035f08207028547ec99bf99a75588bdc80abbbb4482"),
+    # Contraction in both forms, the 2-contraction's preimage count, and
+    # the grid hypergraph of 21 over a fixed index graph.
+    (["contract", "--from-file", "SPARSE"],
+     "a6943ec3fd2b34bcaa1108bd5feca610e4198c3fab41223c3fdee42132b654e7"),
+    (["contract", "--from-file", "MATRIX"],
+     "0e92f8d199e5b733df871a402dfd0ca21ba35957075f17703c8fc6d5c638fc79"),
+    (["contract", "--from-file", "MATRIX", "--b", "3/2"],
+     "c1e4f42f3ce6373b0deb2bf8782b42fa8d7c6288174839f69decef928eaff9a7"),
+    (["preimage", "--from-file", "MATRIX"],
+     "34d306f1a4fe1f3d96ddbb7fcee3bab69e024306b30148c49c7e411872d802b8"),
+    (["build-h", "--n", "4", "--pi", "2,1", "--lambda-file", "GRID"],
+     "06b1b057e576b99e2eab5d5853c7f111056a61bae45b647fa2607bda0a4814e4"),
+    (["delta", "--n", "4", "--pi", "2,1", "--lambda-file", "GRID", "--ell", "2"],
+     "73ea7759f266f707b92f0d1751b39b5440970ed86051dfa703520fef45780747"),
+    (["independents", "--n", "4", "--pi", "2,1", "--lambda-file", "GRID", "--size", "6"],
+     "869d9c19f87efdc695d74740c2ce4dd8c285649eebb3cba59a2884c22a926960"),
 ]
 
 
@@ -726,7 +774,8 @@ GOLDEN_DIGESTS = [
     "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges", "distribution-132-n9",
     "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9", "hypergraph-n40",
     "lambda-star-n12", "expect-mc-sigma-streamed-sets", "expect-mc-sigma-odd-draws",
-    "sample-density-span-1"])
+    "sample-density-span-1", "contract-2-sparse", "contract-2", "contract-b-3/2",
+    "preimage", "build-h-21-n4", "delta-21-n4", "independents-21-n4"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     for name, text in PLACEHOLDERS.items():
         (tmp_path / name).write_text(text)

@@ -84,6 +84,22 @@ def test_contract_b_matches_group_or_oracle(b):
             assert all(type(row) is int for row in out.row_bits)
 
 
+def test_contract_b_reads_b_the_same_in_every_type():
+    rng = random.Random(31)
+    for n in range(0, 10):
+        m = random_square(rng, n)
+        for b in (1, 2, 3, 5):
+            want = contract_b(m, Fraction(b))
+            assert contract_b(m, b) == contract_b(m, str(b)) == want
+        for b in (Fraction(3, 2), Fraction(7, 3)):
+            assert contract_b(m, f"{b.numerator}/{b.denominator}") == contract_b(m, b)
+        # True is Fraction(1), as before: the matrix comes back unchanged.
+        assert contract_b(m, True) == m
+    for b in (0, -2, Fraction(1, 2), "1/2", False):
+        with pytest.raises(ValueError, match=f"contraction factor must be >= 1, got {Fraction(b)}"):
+            contract_b(BinaryMatrix.zeros(2, 2), b)
+
+
 def test_contract_b_validation():
     with pytest.raises(ValueError):
         contract_b(BinaryMatrix.zeros(2, 2), Fraction(1, 2))

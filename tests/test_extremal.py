@@ -15,10 +15,12 @@ from permavoid import (
     min_copies_brute,
     override_limits,
     permutation_matrix,
+    rngutil,
     sna_copy_budget,
     sna_family,
     verify_sna_budget,
 )
+from permavoid.extremal import _support_blocks
 
 import oracles
 
@@ -151,11 +153,52 @@ def test_min_copies_witness_across_block_boundaries():
     assert (rep.min_copies, rep.witness.to_lists()) == (best, grid)
 
 
+@pytest.mark.parametrize("block", [7, 2048])
+def test_support_blocks_follow_combinations_row_for_row(monkeypatch, block):
+    # Every a from 0 to N, blocks cut at 7 rows and at the default.
+    monkeypatch.setattr(rngutil, "BLOCK", block)
+    for m in range(1, 17):
+        for a in range(m + 1):
+            blocks = list(_support_blocks(m, a))
+            assert all(1 <= len(b) <= block and b.shape[1] == a for b in blocks)
+            rows = [tuple(row) for b in blocks for row in b.tolist()]
+            assert rows == list(itertools.combinations(range(m), a))
+
+
+@pytest.mark.parametrize("block", [1, 5, 1000])
+def test_min_copies_witness_at_small_blocks(monkeypatch, block):
+    # The first minimum and the early stop must not depend on where the
+    # blocks are cut; C(16, 8) = 12870 is no multiple of 1000.
+    monkeypatch.setattr(rngutil, "BLOCK", block)
+    cases = [(n, a, pattern) for n in (1, 2, 3) for a in range(n * n + 1)
+             for pattern in [(1, 2), (2, 1), (1, 3, 2)]]
+    if block == 1000:
+        cases.append((4, 8, (1, 2)))
+    for n, a, pattern in cases:
+        rep = min_copies_brute(n, a, pattern)
+        best, grid = oracles.min_copies_witness_naive(n, a, pattern)
+        assert (rep.min_copies, rep.witness.to_lists()) == (best, grid)
+
+
 def test_min_copies_validation():
     with pytest.raises(ValueError):
         min_copies_brute(2, 5, (1, 2))
     with pytest.raises(CapExceededError):
         min_copies_brute(5, 10, (1, 2))
+
+
+def test_min_copies_charges_its_supports_to_the_subset_ceiling():
+    # C(16, 8) = 12870 supports; the ceiling is inclusive.
+    with override_limits(subset_ceiling=12869), \
+            pytest.raises(CapExceededError, match="subset_ceiling"):
+        min_copies_brute(4, 8, (1, 2))
+    with override_limits(subset_ceiling=12870):
+        assert min_copies_brute(4, 8, (1, 2)).witness.ones == 8
+    # C(100, 50) is past 2^63, where the int64 ranks would wrap: refused
+    # whatever the ceiling.
+    with override_limits(matrix_cap=10, subset_ceiling=10 ** 40), \
+            pytest.raises(CapExceededError, match="subset_ceiling"):
+        min_copies_brute(10, 50, (1, 2))
 
 
 # ------------------------------------------------------ block diagonal

@@ -19,6 +19,7 @@ from permavoid import (
     lambda_contains,
     override_limits,
 )
+from permavoid.gridhg import PatternHypergraph
 
 import oracles
 
@@ -118,6 +119,24 @@ def test_count_independent_golden_and_oracle():
     for size in [0, 1, 3]:
         assert count_independent_of_size(h3, size) == \
             oracles.independent_count_naive(h3.vertex_count, h3.edges, size)
+
+
+def test_count_independent_matches_oracle_on_random_hypergraphs():
+    # k = 1 gives one-cell edges, whose stems are empty; 0 edges and the
+    # sizes 0 and n^2 are drawn too.
+    rng = random.Random(2024)
+    for _ in range(150):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        cells = list(combinations(range(n * n), k))
+        edges = tuple(sorted(rng.sample(cells, rng.randint(0, min(len(cells), 12)))))
+        h = PatternHypergraph(n=n, k=k, edges=edges)
+        for size in {0, n * n, rng.randint(0, n * n)}:
+            assert count_independent_of_size(h, size) == \
+                oracles.independent_count_naive(h.vertex_count, edges, size)
+    empty = PatternHypergraph(n=3, k=2, edges=())
+    assert [count_independent_of_size(empty, s) for s in range(11)] == \
+        [math.comb(9, s) for s in range(10)] + [0]
+    assert count_independent_of_size(empty, -1) == 0
 
 
 def test_count_independent_subset_ceiling():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permavoid import (
@@ -42,6 +43,44 @@ def test_from_rows_rejects_non_binary_entries():
     for bad in (True, 1.0, "1"):
         with pytest.raises(ValueError, match=r"entry \(1,1\) must be an integer"):
             BinaryMatrix.from_rows([[bad, 0]])
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("rows,cols,row_bits,message", [
+    (2, 2, (True, 1), "packed row must be an integer, got True"),
+    (2, 2, (1, 1.0), "packed row must be an integer, got 1.0"),
+    (2, 2, ("1", 1), "packed row must be an integer, got '1'"),
+    (2, 2, [1, None], "packed row must be an integer, got None"),
+    (2, 2, (1, -1), "row 2 has bits outside 2 columns"),
+    (3, 2, (1, 3, 4), "row 3 has bits outside 2 columns"),
+    (3, 2, (-1, 4, 1), "row 1 has bits outside 2 columns"),
+    (2, 0, (0, 1), "row 2 has bits outside 0 columns"),
+    (2, 2, (1,), "got 1 packed rows for a 2-row matrix"),
+    (2, 2, (1, 2, 3), "got 3 packed rows for a 2-row matrix"),
+    (2, 2, (), "got 0 packed rows for a 2-row matrix"),
+    # The type is refused before the count, the count before the range.
+    (2, 2, (True,), "packed row must be an integer, got True"),
+    (2, 2, (8,), "got 1 packed rows for a 2-row matrix"),
+    (-1, 2, (), "matrix dimensions must be nonnegative"),
+])
+def test_packed_rows_are_refused_with_their_message(rows, cols, row_bits, message):
+    with pytest.raises(ValueError) as err:
+        BinaryMatrix(rows, cols, row_bits)
+    assert str(err.value) == message
+
+
+def test_packed_rows_are_coerced_to_a_tuple_of_ints():
+    for row_bits in [(np.int64(3), np.uint8(1)), [3, 1], (_Int(3), 1), [np.int32(3), 1]]:
+        m = BinaryMatrix(2, 2, row_bits)
+        assert m.row_bits == (3, 1) and type(m.row_bits) is tuple
+        assert all(type(b) is int for b in m.row_bits)
+        assert m == BinaryMatrix(2, 2, (3, 1)) and hash(m) == hash(BinaryMatrix(2, 2, (3, 1)))
+    assert BinaryMatrix(0, 0, ()).row_bits == BinaryMatrix(0, 5, []).row_bits == ()
+    big = (1 << 70) - 1
+    assert BinaryMatrix(1, 70, (big,)).ones == 70
 
 
 def test_text_round_trip():
