@@ -91,7 +91,7 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     merged = [0] * side
     for g, src in zip(groups, m.row_bits):
         merged[g] |= src
-    if len(tables) == 1:  # a side of at most 8: one lookup per row
+    if len(tables) == 1:  # a source side of at most 8: one lookup per row
         table = tables[0][1]
         bits = [table[row] for row in merged]
     else:

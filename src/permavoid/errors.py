@@ -9,17 +9,18 @@ code 3, so the two must stay distinguishable.
 class CapExceededError(Exception):
     """An enumeration cap or cost ceiling refused the requested work.
 
-    The message always names the limit and its configured value so the
-    caller knows which knob to raise.
+    The message names the limit and its value.  For a configured limit
+    that tells the caller which knob to raise; a fixed limit of the
+    implementation passes a ``remedy`` that says no knob lifts it.
     """
 
-    def __init__(self, limit_name: str, limit_value, requested):
+    def __init__(self, limit_name: str, limit_value, requested,
+                 remedy: str = "raise the limit explicitly to proceed"):
         self.limit_name = limit_name
         self.limit_value = limit_value
         self.requested = requested
         super().__init__(
-            f"{limit_name}={limit_value} exceeded (requested {requested}); "
-            f"raise the limit explicitly to proceed"
+            f"{limit_name}={limit_value} exceeded (requested {requested}); {remedy}"
         )
 
 

@@ -250,7 +250,8 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     total = math.comb(n * n, a)
     check_limit("subset_ceiling", total)
     if total > _INT64_MAX:
-        raise CapExceededError("subset_ceiling", _INT64_MAX, total)
+        raise CapExceededError("int64_rank", _INT64_MAX, total,
+                               "min-copies ranks its supports in int64, and no limit lifts that")
     k = len(p)
     best = None
     for cells in _support_blocks(n * n, a):

@@ -365,11 +365,8 @@ def avoider_counts(
 def unpack_rows(row_bits, ncols: int) -> np.ndarray:
     """Per-row column bitmasks as a (rows, cols) uint8 array of entries."""
     width = (ncols + 7) // 8
-    if width == 1:
-        data = bytes(row_bits)
-    else:
-        data = b"".join(b.to_bytes(width, "little") for b in row_bits)
-    packed = np.frombuffer(data, np.uint8).reshape(len(row_bits), width)
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in row_bits),
+                           np.uint8).reshape(len(row_bits), width)
     return np.unpackbits(packed, axis=1, count=ncols, bitorder="little")
 
 
@@ -385,7 +382,7 @@ def count_matrix_copies(
     block of one.  Up to 8 x 8 the stride is 8, so ``bytes`` packs the
     rows without a Python loop; past that it is the column count.
     """
-    rows = [*filter(None, row_bits)]
+    rows = [b for b in row_bits if b]
     if len(rows) * ncols > 64:
         return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
     if len(pi) > min(len(rows), ncols):

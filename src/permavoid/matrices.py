@@ -176,7 +176,7 @@ def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
     >>> count_matrix_copies(permutation_matrix((2, 4, 1, 3)), (1, 2))
     3
     """
-    if type(pi) is tuple and {*map(type, pi)} <= {int}:
+    if type(pi) is tuple and all(type(v) is int for v in pi):
         # (True, 2) and (1.0, 2.0) hash and compare equal to (1, 2), so
         # only plain ints may reach the cache; Permutation refuses the rest.
         zero_based = _zero_based(pi)

@@ -195,10 +195,14 @@ def test_min_copies_charges_its_supports_to_the_subset_ceiling():
     with override_limits(subset_ceiling=12870):
         assert min_copies_brute(4, 8, (1, 2)).witness.ones == 8
     # C(100, 50) is past 2^63, where the int64 ranks would wrap: refused
-    # whatever the ceiling.
+    # whatever the ceiling, naming the rank limit rather than the ceiling.
     with override_limits(matrix_cap=10, subset_ceiling=10 ** 40), \
-            pytest.raises(CapExceededError, match="subset_ceiling"):
+            pytest.raises(CapExceededError) as exc:
         min_copies_brute(10, 50, (1, 2))
+    assert exc.value.limit_name == "int64_rank"
+    assert str(exc.value) == (
+        f"int64_rank={2 ** 63 - 1} exceeded (requested {math.comb(100, 50)}); "
+        "min-copies ranks its supports in int64, and no limit lifts that")
 
 
 # ------------------------------------------------------ block diagonal
