@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DimensionMismatchError
 from .matrices import BinaryMatrix
@@ -32,19 +33,53 @@ def contract2(m: BinaryMatrix) -> BinaryMatrix:
     return contract_b(m, 2)
 
 
+def _groups(n: int, p: int, q: int) -> tuple[int, ...]:
+    """The 0-based group of each of n indices for b = p/q.
+
+    1-based index i lands in group ceil(i / b), computed exactly as
+    ceil(i * q / p) in integers.
+    """
+    return tuple(-((-i * q) // p) - 1 for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=256)
+def _byte_plan(n: int, p: int, q: int):
+    """How ``contract_b`` contracts a side n <= 8 for b = p/q, with row i
+    of the source as byte i of one int: (side, merges, table, pick).
+
+    Each (shift, mask) of ``merges`` ORs the rows ``shift // 8`` below a
+    group's first row into it, masked to the groups that long, so the
+    first byte of each group ends up holding the OR of its rows.
+    ``table`` is a ``bytes.translate`` table that sends a row to the
+    mask of the groups of its set columns, and ``pick`` gathers the
+    groups' first bytes as a tuple of ints.
+    """
+    groups = _groups(n, p, q)
+    starts = [i for i in range(n) if i == 0 or groups[i] != groups[i - 1]]
+    sizes = [end - start for start, end in zip(starts, starts[1:] + [n])]
+    merges = tuple((8 * t, sum(255 << 8 * start for start, size in zip(starts, sizes) if size > t))
+                   for t in range(1, max(sizes, default=1)))
+    table = bytearray(256)  # rows stay below 2^n; the other entries are never read
+    for row in range(1, 1 << n):
+        low = row & -row
+        table[row] = table[row ^ low] | 1 << groups[low.bit_length() - 1]
+    side = len(starts)
+    pick = itemgetter(*starts) if side > 1 else lambda rows: tuple(rows[:side])
+    return side, merges, bytes(table), pick
+
+
 @lru_cache(maxsize=256)
 def _group_tables(
     n: int, p: int, q: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The groups of an n-bit row's indices for b = p/q, and (shift,
-    table) per byte of the row, where ``table[byte]`` is the mask of
-    the groups of the set bits of ``(row >> shift) & 255``.
+    """The groups of a side n > 8 for b = p/q, and (shift, table) per
+    byte of a row, where ``table[byte]`` is the mask of the groups of
+    the set bits of ``(row >> shift) & 255``.
 
-    1-based index i lands in group ceil(i / b), computed exactly as
-    ceil(i * q / p) in integers; the groups here are 0-based.  A partial
-    last byte has 2^(n - shift) entries, all that an n-bit row reaches.
+    A partial last byte has 2^(n - shift) entries, all that an n-bit
+    row reaches.
     """
-    groups = tuple(-((-i * q) // p) - 1 for i in range(1, n + 1))
+    groups = _groups(n, p, q)
     tables = []
     for shift in range(0, n, 8):
         table = [0] * (1 << min(8, n - shift))
@@ -86,18 +121,23 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
         raise ValueError(f"contraction factor must be >= 1, got {b}")
     if m.rows != m.cols:
         raise DimensionMismatchError(f"need a square matrix, got {m.rows}x{m.cols}")
-    groups, tables = _group_tables(m.rows, p, q)
-    side = groups[-1] + 1 if groups else 0
+    n = m.rows
+    if n <= 8:
+        side, merges, table, pick = _byte_plan(n, p, q)
+        rows = int.from_bytes(bytes(m.row_bits), "little")  # row i is byte i
+        merged = rows
+        for shift, mask in merges:
+            merged |= (rows >> shift) & mask
+        return BinaryMatrix._trusted(side, side,
+                                     pick(merged.to_bytes(n, "little").translate(table)))
+    groups, tables = _group_tables(n, p, q)
+    side = groups[-1] + 1
     merged = [0] * side
     for g, src in zip(groups, m.row_bits):
         merged[g] |= src
-    if len(tables) == 1:  # a source side of at most 8: one lookup per row
-        table = tables[0][1]
-        bits = [table[row] for row in merged]
-    else:
-        bits = [0] * side
-        for shift, table in tables:
-            bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
+    bits = [0] * side
+    for shift, table in tables:
+        bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
     return BinaryMatrix._trusted(side, side, tuple(bits))
 
 

@@ -27,12 +27,13 @@ without a copy.  ``min-copies`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
 
-``count_matrix_copies`` counts one matrix: one AND over a cached
-table of copy masks when its nonzero rows hold at most 64 cells, and
-past that ``matrix_copy_counts`` on a block of one, a numpy sweep over
-chunks of row subsets.  ``occurrences``, the one walk over the
-occurrences of a pattern in one permutation (all of them, or those on
-given edges), is plain Python.
+``count_matrix_copies`` counts one matrix.  When its nonzero rows hold
+at most 64 cells, it ORs one cached bitset per nibble of the rows (the
+row and column subset pairs the nibble rules out) and counts the pairs
+left, in plain Python ints; past that it is ``matrix_copy_counts`` on a
+block of one, a numpy sweep over chunks of row subsets.
+``occurrences``, the one walk over the occurrences of a pattern in one
+permutation (all of them, or those on given edges), is plain Python.
 
 ``BACKEND`` names the implementation, ``"python"``, for run reports.
 The public callables are the kernels alone, and the standard-library
@@ -376,48 +377,70 @@ def count_matrix_copies(
     """Copies of the pattern's permutation matrix inside a 0-1 matrix,
     without its all-zero rows, which can never host a 1.
 
-    A matrix of at most 64 cells is packed row-major into one word, row
-    i at bit i * stride, and a copy is a mask of ``_copy_masks`` with no
-    cell outside it; a larger matrix is ``matrix_copy_counts`` on a
-    block of one.  Up to 8 x 8 the stride is 8, so ``bytes`` packs the
-    rows without a Python loop; past that it is the column count.
+    When the nonzero rows hold at most 64 cells, each byte of each row
+    looks up the bitset of the (row k-subset, column k-subset) pairs its
+    two nibbles rule out in ``_nibble_sets``; the copies are the pairs
+    that no byte rules out.  Up to 8 columns a row is one byte, so the
+    rows are read as they are.  A larger matrix is
+    ``matrix_copy_counts`` on a block of one.
     """
     rows = [b for b in row_bits if b]
     if len(rows) * ncols > 64:
         return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
     if len(pi) > min(len(rows), ncols):
         return 0  # and 1 x 64 would list all C(64, k) column subsets for no pair
-    if ncols <= 8 and len(rows) <= 8:
-        stride, word = 8, int.from_bytes(bytes(rows), "little")
-    else:
-        stride, word = ncols, 0
-        for i, b in enumerate(rows):
-            word |= b << (i * ncols)
-    masks = _copy_masks(len(rows), ncols, stride, pi)
-    missing = masks & np.uint64(~word & 0xFFFF_FFFF_FFFF_FFFF)  # a copy's cells holding 0
-    return masks.size - int(np.count_nonzero(missing))
+    pairs, tables = _nibble_sets(len(rows), ncols, pi)
+    if ncols > 8:
+        rows = b"".join(b.to_bytes((ncols + 7) // 8, "little") for b in rows)
+    bad = 0
+    for (lo, hi), byte in zip(tables, rows):
+        bad |= lo[byte & 15] | hi[byte >> 4]
+    return pairs - bad.bit_count()
 
 
-@functools.lru_cache(maxsize=64)
-def _copy_masks(nrows: int, ncols: int, stride: int, pi: tuple[int, ...]) -> np.ndarray:
-    """One uint64 mask per (row k-subset, column k-subset) pair of a
-    matrix of at most 64 cells, packed as in ``count_matrix_copies``
-    with row i at bit i * stride: the k cells where the pair puts the
-    pattern's 1s.
+@functools.lru_cache(maxsize=16)
+def _nibble_sets(
+    nrows: int, ncols: int, pi: tuple[int, ...]
+) -> tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The number of (row k-subset, column k-subset) pairs of an
+    nrows x ncols matrix, and one (lo, hi) pair of nibble tables per
+    byte of each row, row-major: byte j of row r is entry
+    r * ceil(ncols / 8) + j.
 
-    With k at most rows and cols, a table holds at most C(8,4)^2 = 4900
-    masks (8x8, k = 4), 39 KB, so the cache holds at most 64 * 39 KB.
+    Pair (a, s), the a-th row subset and s-th column subset in lex
+    order, is bit a * C(ncols, k) + s.  It puts pattern row i in row
+    a[i] and column s[pi[i]].  ``lo[v]`` is the bitset of the pairs that
+    need a 1 in a column of the byte's low nibble where v holds a 0, so
+    nibble value v rules them out; ``hi`` does the same for the high
+    nibble.  A nibble of w columns has 2^w entries.
+
+    The largest table is 8 x 8 with k = 4: 4900-bit sets, about 134 KB
+    with its tuples (``sys.getsizeof``), so the cache holds at most
+    16 * 134 KB, about 2.1 MB.
     """
     k = len(pi)
-    row_sets = np.array(list(itertools.combinations(range(nrows), k)), np.uint64)
-    row_sets = row_sets.reshape(math.comb(nrows, k), k)
-    col_sets = np.array(list(itertools.combinations(range(ncols), k)), np.uint64)
-    col_sets = col_sets.reshape(math.comb(ncols, k), k)
-    # Pattern row i sits in row row_sets[:, i] and column col_sets[:, pi[i]].
-    cells = row_sets[:, None, :] * np.uint64(stride) + col_sets[None, :, list(pi)]
-    masks = np.bitwise_or.reduce(np.uint64(1) << cells, axis=2).ravel()
-    masks.flags.writeable = False  # shared by every caller through the cache
-    return masks
+    col_sets = list(itertools.combinations(range(ncols), k))
+    width = len(col_sets)
+    at = [[0] * ncols for _ in range(k)]  # at[t][c]: column subsets with s[t] = c
+    for s, cols in enumerate(col_sets):
+        for t, c in enumerate(cols):
+            at[t][c] |= 1 << s
+    need = [[0] * ncols for _ in range(nrows)]  # need[r][c]: pairs with a 1 at (r, c)
+    for a, rows in enumerate(itertools.combinations(range(nrows), k)):
+        for i, r in enumerate(rows):
+            for c, sets in enumerate(at[pi[i]]):
+                need[r][c] |= sets << (a * width)
+
+    def nibble(cells):
+        lack = [0] * (1 << len(cells))  # lack[u]: pairs needing a column of u
+        for u in range(1, len(lack)):
+            low = u & -u
+            lack[u] = lack[u ^ low] | cells[low.bit_length() - 1]
+        return tuple(reversed(lack))  # v lacks exactly the columns of ~v
+
+    tables = tuple((nibble(row[j:j + 4]), nibble(row[j + 4:j + 8]))
+                   for row in need for j in range(0, ncols, 8))
+    return math.comb(nrows, k) * width, tables
 
 
 _SLAB = 1 << 16  # uint8 entries gathered per chunk of row subsets

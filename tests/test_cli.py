@@ -577,8 +577,25 @@ GOLDEN_SPARSE = """8 8
 """
 GOLDEN_GRID_LAMBDA = "4 2\n1 2\n1 4\n2 3\n3 4\n"
 
+# A 12 x 12 matrix with three zero rows: past a side of 8, contraction
+# merges rows one at a time instead of as bytes of one int.
+GOLDEN_WIDE = """12 12
+100100000010
+000000000000
+001010010000
+010000001001
+000000000000
+100001100000
+000100000100
+000000000000
+011000000010
+000000010001
+000010000000
+100000100001
+"""
+
 PLACEHOLDERS = {"MATRIX": GOLDEN_MATRIX, "LAMBDA": GOLDEN_LAMBDA, "EMPTY": "8 3\n",
-                "SPARSE": GOLDEN_SPARSE, "GRID": GOLDEN_GRID_LAMBDA}
+                "SPARSE": GOLDEN_SPARSE, "GRID": GOLDEN_GRID_LAMBDA, "WIDE": GOLDEN_WIDE}
 
 GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "7", "--pi", "1,3,2",
@@ -744,6 +761,10 @@ GOLDEN_DIGESTS = [
      "0e92f8d199e5b733df871a402dfd0ca21ba35957075f17703c8fc6d5c638fc79"),
     (["contract", "--from-file", "MATRIX", "--b", "3/2"],
      "c1e4f42f3ce6373b0deb2bf8782b42fa8d7c6288174839f69decef928eaff9a7"),
+    (["contract", "--from-file", "WIDE"],
+     "0d9dfac76ca2837463f35807bea7df5bb457b7c224aeaa7fa6e8cc20eaca8c8d"),
+    (["contract", "--from-file", "WIDE", "--b", "3/2"],
+     "b6cd5e58738ca2ffa3413886c62096bc88ecc84d0bdecf39bffc7c01b4dcab1d"),
     (["preimage", "--from-file", "MATRIX"],
      "34d306f1a4fe1f3d96ddbb7fcee3bab69e024306b30148c49c7e411872d802b8"),
     (["build-h", "--n", "4", "--pi", "2,1", "--lambda-file", "GRID"],
@@ -775,6 +796,7 @@ GOLDEN_DIGESTS = [
     "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9", "hypergraph-n40",
     "lambda-star-n12", "expect-mc-sigma-streamed-sets", "expect-mc-sigma-odd-draws",
     "sample-density-span-1", "contract-2-sparse", "contract-2", "contract-b-3/2",
+    "contract-2-side-12", "contract-b-3/2-side-12",
     "preimage", "build-h-21-n4", "delta-21-n4", "independents-21-n4"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):
     for name, text in PLACEHOLDERS.items():

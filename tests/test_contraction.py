@@ -84,6 +84,30 @@ def test_contract_b_matches_group_or_oracle(b):
             assert all(type(row) is int for row in out.row_bits)
 
 
+def test_contract_b_matches_the_oracle_across_the_side_8_boundary():
+    # Sides up to 8 merge rows as bytes of one int, past 8 row by row.
+    # The factors give uneven groups (3/2, 5/3, 7/2) and a side of 1
+    # (b = n, n + 1); b arrives as an int, a Fraction and a string.
+    rng = random.Random(808)
+    for n in range(11):
+        grids = [[[0] * n for _ in range(n)], [[1] * n for _ in range(n)]]
+        grids += [[[int(rng.random() < d) for _ in range(n)] for _ in range(n)]
+                  for d in (0.1, 0.3, 0.6)]
+        matrices = [BinaryMatrix.from_rows(grid) if n else BinaryMatrix.zeros(0, 0)
+                    for grid in grids]
+        for b in {1, 2, 3, Fraction(3, 2), Fraction(5, 3), Fraction(7, 2), max(n, 1), n + 1}:
+            forms = [b, Fraction(b), str(b)] + ([int(b)] if b == int(b) else [])
+            for grid, m in zip(grids, matrices):
+                want = oracles.contract_b_naive(grid, Fraction(b))
+                for form in forms:
+                    out = contract_b(m, form)
+                    assert out.to_lists() == want
+                    assert out.rows == out.cols == len(want)
+                    assert type(out.row_bits) is tuple
+                    assert all(type(row) is int for row in out.row_bits)
+        assert all(contract_b(m, True) == m for m in matrices)
+
+
 def test_contract_b_reads_b_the_same_in_every_type():
     rng = random.Random(31)
     for n in range(0, 10):

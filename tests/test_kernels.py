@@ -3,13 +3,15 @@
 import inspect
 import math
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from permavoid import BinaryMatrix, count_matrix_copies, kernels
+from permavoid import BinaryMatrix, contract2, contract_b, count_matrix_copies, kernels
 
 import oracles
 
@@ -99,7 +101,7 @@ def test_matrix_copies_match_oracle_on_edge_shapes(monkeypatch, slab, table):
     monkeypatch.setattr(kernels, "_SLAB", slab)
     monkeypatch.setattr(kernels, "_TABLE", table)
     rng = random.Random(707)
-    # Up to 64 cells in the nonzero rows count by copy masks, past it by
+    # Up to 64 cells in the nonzero rows count by nibble sets, past it by
     # the slab sweep: (6, 13) keeps 65 once its zeroed row is dropped.
     for rows, cols in [(0, 0), (3, 0), (0, 3), (1, 1), (4, 4), (6, 5), (5, 6), (8, 8),
                        (2, 70), (3, 67), (1, 64), (64, 1), (4, 16), (7, 9), (5, 13),
@@ -115,6 +117,89 @@ def test_matrix_copies_match_oracle_on_edge_shapes(monkeypatch, slab, table):
                 assert type(got) is int
     filled = kernels.count_matrix_copies([0xFF] * 8, 8, (0, 1, 2, 3))
     assert filled == math.comb(8, 4) ** 2 == 4900
+
+
+def patterns_of_length(k, rng):
+    """The identity, its reverse and two shuffles of length k."""
+    shuffled = []
+    for _ in range(2):
+        values = list(range(k))
+        rng.shuffle(values)
+        shuffled.append(tuple(values))
+    return {tuple(range(k)), tuple(range(k - 1, -1, -1)), *shuffled}
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 64), (64, 1), (2, 32), (4, 16), (7, 9), (8, 8)],
+                         ids=str)
+def test_nibble_sets_match_the_slab_sweep(rows, cols):
+    # The one-matrix count of at most 64 cells against the block kernel
+    # on the same matrices, zero rows kept, as a list and as a tuple.
+    rng = random.Random(rows * 100 + cols)
+    grids = []
+    for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+        grid = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+        grids.append(grid)
+        if rows > 1:
+            holes = [row[:] for row in grid]
+            for r in rng.sample(range(rows), max(1, rows // 3)):
+                holes[r] = [0] * cols
+            grids.append(holes)
+    blk = np.array(grids, np.uint8)
+    for k in range(6):
+        for pi in patterns_of_length(k, rng):
+            want = kernels.matrix_copy_counts(blk, pi)
+            for grid, expected in zip(grids, want):
+                row_bits = [sum(cell << j for j, cell in enumerate(row)) for row in grid]
+                assert kernels.count_matrix_copies(row_bits, cols, pi) == expected
+                assert kernels.count_matrix_copies(tuple(row_bits), cols, pi) == expected
+
+
+@pytest.mark.parametrize("cols", [3, 4])
+def test_every_small_matrix_matches_the_oracle(cols):
+    # Every 3 x 3 and 3 x 4 matrix, for every pattern of length 0 to 3.
+    patterns = [p for k in range(4) for p in permutations(range(k))]
+    for cells in range(1 << (3 * cols)):
+        row_bits = [(cells >> (r * cols)) & ((1 << cols) - 1) for r in range(3)]
+        grid = [[(b >> j) & 1 for j in range(cols)] for b in row_bits]
+        for pi in patterns:
+            assert kernels.count_matrix_copies(row_bits, cols, pi) == \
+                oracles.matrix_copies_naive(grid, one_based(pi))
+
+
+def test_nibble_set_cache_is_bounded():
+    # The largest table of at most 64 cells (8 x 8, k = 4) is about
+    # 134 KB, so 16 of them stay near 2.1 MB.
+    assert kernels._nibble_sets.cache_info().maxsize == 16
+    pairs, tables = kernels._nibble_sets(8, 8, (0, 1, 2, 3))
+    assert pairs == 4900
+    objects = {id(x): x for pair in tables for table in pair for x in (table, *table)}
+    size = sys.getsizeof(tables) + sum(map(sys.getsizeof, tables)) + \
+        sum(map(sys.getsizeof, objects.values()))
+    assert 100_000 < size < 140_000
+
+
+def test_a_contraction_sweep_meets_few_table_shapes():
+    # A round over 8 x 8 matrices with 24 ones, their 2- and
+    # 3/2-contractions and the copies of 132 in each: once the round has
+    # run, a second run of it finds every table shape cached.
+    rng = random.Random(1)
+    sources = []
+    for _ in range(500):
+        row_bits = [0] * 8
+        for cell in rng.sample(range(64), 24):
+            row_bits[cell // 8] |= 1 << (cell % 8)
+        sources.append(BinaryMatrix(8, 8, tuple(row_bits)))
+
+    def sweep_round():
+        for m in sources:
+            for x in (m, contract2(m), contract_b(m, Fraction(3, 2))):
+                count_matrix_copies(x, (1, 3, 2))
+
+    kernels._nibble_sets.cache_clear()
+    sweep_round()
+    first = kernels._nibble_sets.cache_info()
+    sweep_round()
+    assert kernels._nibble_sets.cache_info().misses == first.misses <= first.maxsize
 
 
 # Lengths 1 to 4.  S_n streams through blocks of at most 7! permutations,
