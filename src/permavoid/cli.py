@@ -122,20 +122,7 @@ def _load_hypergraph(path: str) -> KUniformHypergraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _lambda_for(args) -> "KUniformHypergraph | None":
-    """The index hypergraph a subcommand should use: an explicit file,
-    or None for the complete one, which the library counts without
-    building it."""
-    if args.lambda_file:
-        return _load_hypergraph(args.lambda_file)
-    return None
-
-
 # ------------------------------------------------------------- rendering
-
-
-def _rat(x: Fraction) -> str:
-    return str(x)
 
 
 def _num(x: "float | None") -> "float | str | None":
@@ -164,8 +151,8 @@ def _json_text(v, pad: str) -> str:
 
     The types a report holds are written here, by exact type: strings,
     ints, floats, bools, None, dicts with ``str`` keys and non-empty
-    lists.  A list of ints is one join, and a list of int rows of one
-    non-zero width, such as a hypergraph's edges, one %-format.
+    lists.  A list of int rows of one non-zero width, such as a
+    hypergraph's edges, is one %-format.
     Anything else (tuples, subclasses, other keys, empty containers)
     goes to ``json.dumps`` itself.
     """
@@ -188,11 +175,8 @@ def _json_text(v, pad: str) -> str:
         body = sep.join(f"{_json_str(key)}: {_json_text(v[key], inner)}" for key in sorted(v))
         return f"{{\n{inner}{body}\n{pad}}}"
     if kind is list and v:
-        kinds = set(map(type, v))
-        if kinds == {int}:
-            body = sep.join(map(int.__repr__, v))
-        elif (kinds == {list} and v[0] and set(map(len, v)) == {len(v[0])}
-              and set(map(type, flat := tuple(itertools.chain.from_iterable(v)))) == {int}):
+        if (set(map(type, v)) == {list} and v[0] and set(map(len, v)) == {len(v[0])}
+                and set(map(type, flat := tuple(itertools.chain.from_iterable(v)))) == {int}):
             cell = ",\n" + inner + "  "
             row = f"[\n{inner}  " + cell.join(["%d"] * len(v[0])) + f"\n{inner}]"
             body = sep.join([row] * len(v)) % flat
@@ -218,10 +202,6 @@ def _render_csv(rows: list[dict], fields: list[str]) -> str:
                 out.append(v)
         writer.writerow(out)
     return buf.getvalue()
-
-
-def _flatten_single(report: dict) -> tuple[list[dict], list[str]]:
-    return [report], sorted(report)
 
 
 # ------------------------------------------------------------- handlers
@@ -261,7 +241,8 @@ def _cmd_distribution(args):
 
 
 def _cmd_avoiders(args):
-    lam = _lambda_for(args)
+    # No file is the complete hypergraph, which is counted, never built.
+    lam = _load_hypergraph(args.lambda_file) if args.lambda_file else None
     rep = avoidance.enumerate_avoiders(args.n, args.pi, lam, collect=args.list)
     out = {
         "n": rep.n,
@@ -280,8 +261,8 @@ def _expect_cell(pi: Permutation, rep: avoidance.ExpectationReport) -> dict:
         "n": rep.n,
         "k": rep.k,
         "pi": pi.to_text(),
-        "alpha": _rat(rep.alpha),
-        "exact": _rat(rep.exact_value),
+        "alpha": str(rep.alpha),
+        "exact": str(rep.exact_value),
         "exact_decimal": float(rep.exact_value),
         "bound": _num(rep.bound_value),
         "empirical_constant": _num(rep.empirical_constant),
@@ -311,10 +292,10 @@ def _cmd_expect_mc(args):
         "n": est.n,
         "k": est.k,
         "pi": args.pi.to_text(),
-        "alpha": _rat(est.alpha),
+        "alpha": str(est.alpha),
         "samples": est.samples,
         "seed": est.seed,
-        "estimate": _rat(est.estimate),
+        "estimate": str(est.estimate),
         "estimate_decimal": float(est.estimate),
         "std_error": _num(est.std_error),
     }
@@ -360,7 +341,7 @@ def _cmd_contract(args):
         report = {"mode": "2"} | _matrix_report(result)
     else:
         result = contraction.contract_b(m, args.b)
-        report = {"mode": "b", "b": _rat(args.b)} | _matrix_report(result)
+        report = {"mode": "b", "b": str(args.b)} | _matrix_report(result)
     if args.out:
         Path(args.out).write_text(result.to_text() + "\n")
     return report
@@ -381,11 +362,10 @@ def _cmd_extremal(args):
     } | _matrix_report(m)
     if args.pi is not None:
         check_densities(m, args.pi)  # as sample-density's exact pass
-        k = len(args.pi)
-        bound = Fraction(args.a ** (2 * k - 1), args.n ** (2 * k - 2))
+        bound = extremal.reference_bound(args.n, args.a, len(args.pi))
         report["pi"] = args.pi.to_text()
         report["copies"] = count_matrix_copies(m, args.pi)
-        report["reference_bound"] = _rat(bound)
+        report["reference_bound"] = str(bound)
         report["reference_bound_decimal"] = float(bound)
     if args.out:
         Path(args.out).write_text(m.to_text() + "\n")
@@ -399,7 +379,7 @@ def _min_copies_cell(n: int, a: int, pi: Permutation) -> dict:
         "a": rep.a,
         "pi": pi.to_text(),
         "min_copies": rep.min_copies,
-        "reference_bound": _rat(rep.reference_bound),
+        "reference_bound": str(rep.reference_bound),
         "reference_bound_decimal": float(rep.reference_bound),
         "witness": rep.witness.row_lines(),
         "method": rep.method,
@@ -419,7 +399,7 @@ def _cmd_max_ones(args):
         "n": rep.n,
         "pi": rep.pattern.to_text(),
         "max_ones": rep.max_ones,
-        "ratio": _rat(rep.ratio),
+        "ratio": str(rep.ratio),
         "ratio_decimal": float(rep.ratio),
         "method": rep.method,
         "witness": rep.witness.row_lines(),
@@ -450,7 +430,8 @@ def _cmd_snm(args):
 
 def _build_h(args):
     """The grid hypergraph and the edge count of its index hypergraph."""
-    lam = _lambda_for(args)
+    # No file is the complete hypergraph, which is counted, never built.
+    lam = _load_hypergraph(args.lambda_file) if args.lambda_file else None
     h = gridhg.build_h(args.n, args.pi, lam)
     return h, math.comb(h.n, h.k) if lam is None else lam.edge_count
 
@@ -503,14 +484,14 @@ def _cmd_sample_density(args):
         "r": rep.r,
         "trials": rep.trials,
         "seed": rep.seed,
-        "one_mean": _rat(rep.one_mean),
+        "one_mean": str(rep.one_mean),
         "one_mean_decimal": float(rep.one_mean),
-        "pi_mean": _rat(rep.pi_mean),
+        "pi_mean": str(rep.pi_mean),
         "pi_mean_decimal": float(rep.pi_mean),
         "one_se": _num(rep.one_se),
         "pi_se": _num(rep.pi_se),
-        "exact_one": _rat(exact.one_density),
-        "exact_pi": _rat(exact.pi_density),
+        "exact_one": str(exact.one_density),
+        "exact_pi": str(exact.pi_density),
     }
 
 
@@ -538,23 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--manifest", metavar="PATH",
         help="also write a run manifest (argv, seed, version, output digest)",
     )
-    common.add_argument("--enum-cap", type=int, metavar="N",
-                        help="override the S_n enumeration cap for this run")
-    common.add_argument("--matrix-cap", type=int, metavar="N",
-                        help="override the exhaustive matrix-search cap")
-    common.add_argument("--edge-ceiling", type=int, metavar="N",
-                        help="override the edge ceiling of the grid hypergraph "
-                        "and of the C(n,k) candidates that hypergraph and "
-                        "lambda-star list")
-    common.add_argument("--subset-ceiling", type=int, metavar="N",
-                        help="override the subset ceiling of independents, of "
-                        "the C(n^2,a) supports of min-copies and of the n^2 "
-                        "cells of the extremal report")
-    common.add_argument("--cost-ceiling", type=int, metavar="N",
-                        help="override the work ceiling of count, occurrences, "
-                        "the Monte-Carlo estimators, the max-ones search, the "
-                        "exact pass of sample-density and the copy count of "
-                        "extremal --pi")
+    for limit in dataclasses.fields(Limits):  # each flag is named after its field
+        common.add_argument(f"--{limit.name.replace('_', '-')}", type=int, metavar="N",
+                            help=limit.metadata["help"])
 
     def cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -642,11 +609,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pi", type=_pattern_arg, required=True, metavar="PERM")
     p.add_argument("--mode", choices=("exhaustive", "search"), default="exhaustive",
-                   help="both run one exact dynamic program over rows; exhaustive "
-                   "reports the optimum of least mask value (capped by "
-                   "--matrix-cap), search the lex-greatest optimum in row-major "
-                   "order, its work growing as 2^n per state (capped by "
-                   "--enum-cap and --cost-ceiling)")
+                   help="both run one exact dynamic program over rows, its work "
+                   "growing as 2^n per state (capped by --cost-ceiling); "
+                   "exhaustive reports the optimum of least mask value (capped "
+                   "by --matrix-cap), search the lex-greatest optimum in "
+                   "row-major order (capped by --enum-cap)")
 
     p = cmd("sna", _cmd_sna, "block-permutation family: size, members, copy budget")
     p.add_argument("--n", type=int, required=True)
@@ -753,7 +720,7 @@ def main(argv: "list[str] | None" = None) -> int:
             report, rows, fields = result, None, None
         if args.format == "csv":
             if rows is None:
-                rows, fields = _flatten_single(report)
+                rows, fields = [report], sorted(report)
             output = _render_csv(rows, fields)
         else:
             output = _render_json(report)

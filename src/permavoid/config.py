@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import Iterator
 
@@ -49,23 +49,34 @@ from .errors import CapExceededError
 
 @dataclass(frozen=True)
 class Limits:
-    enum_cap: int = 12
-    matrix_cap: int = 4
-    edge_ceiling: int = 500_000
-    subset_ceiling: int = 5_000_000
-    cost_ceiling: int = 5_000_000_000
+    """The five limits; each field's ``help`` is the help of its CLI flag."""
+
+    enum_cap: int = field(default=12, metadata={
+        "help": "override the S_n enumeration cap for this run"})
+    matrix_cap: int = field(default=4, metadata={
+        "help": "override the exhaustive matrix-search cap"})
+    edge_ceiling: int = field(default=500_000, metadata={
+        "help": "override the edge ceiling of the grid hypergraph and of the C(n,k) "
+                "candidates that hypergraph and lambda-star list"})
+    subset_ceiling: int = field(default=5_000_000, metadata={
+        "help": "override the subset ceiling of independents, of the C(n^2,a) supports "
+                "of min-copies and of the n^2 cells of the extremal report"})
+    cost_ceiling: int = field(default=5_000_000_000, metadata={
+        "help": "override the work ceiling of count, occurrences, the Monte-Carlo "
+                "estimators, both max-ones modes, the exact pass of sample-density and "
+                "the copy count of extremal --pi"})
 
     @classmethod
     def from_env(cls) -> "Limits":
         """The defaults, each replaced by its ``PERMAVOID_<NAME>``
         variable where that is set."""
         values = {}
-        for field in fields(cls):
-            var = f"PERMAVOID_{field.name.upper()}"
+        for limit in fields(cls):
+            var = f"PERMAVOID_{limit.name.upper()}"
             raw = os.environ.get(var)
             if raw is not None:
                 try:
-                    values[field.name] = int(raw)
+                    values[limit.name] = int(raw)
                 except ValueError:
                     raise ValueError(
                         f"environment variable {var}={raw!r} is not an integer"

@@ -68,28 +68,6 @@ def _byte_plan(n: int, p: int, q: int):
     return side, merges, bytes(table), pick
 
 
-@lru_cache(maxsize=256)
-def _group_tables(
-    n: int, p: int, q: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The groups of a side n > 8 for b = p/q, and (shift, table) per
-    byte of a row, where ``table[byte]`` is the mask of the groups of
-    the set bits of ``(row >> shift) & 255``.
-
-    A partial last byte has 2^(n - shift) entries, all that an n-bit
-    row reaches.
-    """
-    groups = _groups(n, p, q)
-    tables = []
-    for shift in range(0, n, 8):
-        table = [0] * (1 << min(8, n - shift))
-        for byte in range(1, len(table)):
-            low = byte & -byte
-            table[byte] = table[byte ^ low] | 1 << groups[shift + low.bit_length() - 1]
-        tables.append((shift, tuple(table)))
-    return groups, tuple(tables)
-
-
 def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     """OR over the groups induced by a rational contraction factor b >= 1.
 
@@ -97,7 +75,9 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
     ceil(n/b) x ceil(n/b).  b = 1 returns the matrix unchanged and
     b = 2 on an even side coincides with :func:`contract2`.  All group
     arithmetic is exact (no floating ceilings), which is what makes
-    the monotonicity tests bit-exact.
+    the monotonicity tests bit-exact.  A side of at most 8 merges its
+    rows as the bytes of one int (``_byte_plan``); a larger side ORs
+    the group of each set bit of a row into the row's group.
 
     >>> m = BinaryMatrix.from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 0],
     ...                             [0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -130,14 +110,14 @@ def contract_b(m: BinaryMatrix, b: "Fraction | int | str") -> BinaryMatrix:
             merged |= (rows >> shift) & mask
         return BinaryMatrix._trusted(side, side,
                                      pick(merged.to_bytes(n, "little").translate(table)))
-    groups, tables = _group_tables(n, p, q)
+    groups = _groups(n, p, q)
     side = groups[-1] + 1
-    merged = [0] * side
-    for g, src in zip(groups, m.row_bits):
-        merged[g] |= src
     bits = [0] * side
-    for shift, table in tables:
-        bits = [acc | table[(row >> shift) & 255] for acc, row in zip(bits, merged)]
+    for g, row in zip(groups, m.row_bits):
+        while row:
+            low = row & -row
+            bits[g] |= 1 << groups[low.bit_length() - 1]
+            row ^= low
     return BinaryMatrix._trusted(side, side, tuple(bits))
 
 

@@ -225,8 +225,14 @@ class MinCopiesReport:
     pattern: Permutation
     min_copies: int
     witness: BinaryMatrix
-    reference_bound: Fraction  # a^(2k-1) / n^(2k-2), for comparison only
+    reference_bound: Fraction  # reference_bound(n, a, k), for comparison only
     method: str
+
+
+def reference_bound(n: int, a: int, k: int) -> Fraction:
+    """a^(2k-1) / n^(2k-2), the copy count that a matrix with a ones is
+    compared with for a pattern of length k >= 1; 0 when k = 0."""
+    return Fraction(a ** (2 * k - 1), n ** (2 * k - 2)) if k >= 1 else Fraction(0)
 
 
 def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
@@ -252,7 +258,6 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     if total > _INT64_MAX:
         raise CapExceededError("int64_rank", _INT64_MAX, total,
                                "min-copies ranks its supports in int64, and no limit lifts that")
-    k = len(p)
     best = None
     for cells in _support_blocks(n * n, a):
         size = len(cells)
@@ -267,14 +272,13 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
     rows = [0] * n
     for cell in witness:
         rows[cell // n] |= 1 << (cell % n)
-    bound = Fraction(a ** (2 * k - 1), n ** (2 * k - 2)) if k >= 1 else Fraction(0)
     return MinCopiesReport(
         n=n,
         a=a,
         pattern=p,
         min_copies=best,
         witness=BinaryMatrix(n, n, tuple(rows)),
-        reference_bound=bound,
+        reference_bound=reference_bound(n, a, len(p)),
         method="exhaustive",
     )
 

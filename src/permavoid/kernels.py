@@ -27,11 +27,12 @@ without a copy.  ``min-copies`` hands
 ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
 
-``count_matrix_copies`` counts one matrix.  When its nonzero rows hold
-at most 64 cells, it ORs one cached bitset per nibble of the rows (the
-row and column subset pairs the nibble rules out) and counts the pairs
-left, in plain Python ints; past that it is ``matrix_copy_counts`` on a
-block of one, a numpy sweep over chunks of row subsets.
+``count_matrix_copies`` counts one matrix.  When its columns fit in
+one byte and its nonzero rows hold at most 64 cells, it ORs one cached
+bitset per nibble of the rows (the row and column subset pairs the
+nibble rules out) and counts the pairs left, in plain Python ints;
+otherwise it is ``matrix_copy_counts`` on a block of one, a numpy sweep
+over chunks of row subsets.
 ``occurrences``, the one walk over the occurrences of a pattern in one
 permutation (all of them, or those on given edges), is plain Python.
 
@@ -377,24 +378,21 @@ def count_matrix_copies(
     """Copies of the pattern's permutation matrix inside a 0-1 matrix,
     without its all-zero rows, which can never host a 1.
 
-    When the nonzero rows hold at most 64 cells, each byte of each row
-    looks up the bitset of the (row k-subset, column k-subset) pairs its
-    two nibbles rule out in ``_nibble_sets``; the copies are the pairs
-    that no byte rules out.  Up to 8 columns a row is one byte, so the
-    rows are read as they are.  A larger matrix is
-    ``matrix_copy_counts`` on a block of one.
+    When a row is one byte (at most 8 columns) and the nonzero rows
+    hold at most 64 cells, each row looks up the bitset of the (row
+    k-subset, column k-subset) pairs its two nibbles rule out in
+    ``_nibble_sets``; the copies are the pairs that no row rules out.
+    Any other matrix is ``matrix_copy_counts`` on a block of one.
     """
     rows = [b for b in row_bits if b]
-    if len(rows) * ncols > 64:
+    if ncols > 8 or len(rows) * ncols > 64:
         return matrix_copy_counts(unpack_rows(rows, ncols)[None], pi)[0]
     if len(pi) > min(len(rows), ncols):
-        return 0  # and 1 x 64 would list all C(64, k) column subsets for no pair
+        return 0  # and 64 x 1 would list all C(64, k) row subsets for no pair
     pairs, tables = _nibble_sets(len(rows), ncols, pi)
-    if ncols > 8:
-        rows = b"".join(b.to_bytes((ncols + 7) // 8, "little") for b in rows)
     bad = 0
-    for (lo, hi), byte in zip(tables, rows):
-        bad |= lo[byte & 15] | hi[byte >> 4]
+    for (lo, hi), row in zip(tables, rows):
+        bad |= lo[row & 15] | hi[row >> 4]
     return pairs - bad.bit_count()
 
 
@@ -403,14 +401,13 @@ def _nibble_sets(
     nrows: int, ncols: int, pi: tuple[int, ...]
 ) -> tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
     """The number of (row k-subset, column k-subset) pairs of an
-    nrows x ncols matrix, and one (lo, hi) pair of nibble tables per
-    byte of each row, row-major: byte j of row r is entry
-    r * ceil(ncols / 8) + j.
+    nrows x ncols matrix, ncols <= 8, and one (lo, hi) pair of nibble
+    tables per row.
 
     Pair (a, s), the a-th row subset and s-th column subset in lex
     order, is bit a * C(ncols, k) + s.  It puts pattern row i in row
     a[i] and column s[pi[i]].  ``lo[v]`` is the bitset of the pairs that
-    need a 1 in a column of the byte's low nibble where v holds a 0, so
+    need a 1 in a column of the row's low nibble where v holds a 0, so
     nibble value v rules them out; ``hi`` does the same for the high
     nibble.  A nibble of w columns has 2^w entries.
 
@@ -438,8 +435,7 @@ def _nibble_sets(
             lack[u] = lack[u ^ low] | cells[low.bit_length() - 1]
         return tuple(reversed(lack))  # v lacks exactly the columns of ~v
 
-    tables = tuple((nibble(row[j:j + 4]), nibble(row[j + 4:j + 8]))
-                   for row in need for j in range(0, ncols, 8))
+    tables = tuple((nibble(row[:4]), nibble(row[4:])) for row in need)
     return math.comb(nrows, k) * width, tables
 
 

@@ -176,18 +176,19 @@ def count_matrix_copies(a: BinaryMatrix, pi: PermLike) -> int:
     >>> count_matrix_copies(permutation_matrix((2, 4, 1, 3)), (1, 2))
     3
     """
-    if type(pi) is tuple and all(type(v) is int for v in pi):
-        # (True, 2) and (1.0, 2.0) hash and compare equal to (1, 2), so
-        # only plain ints may reach the cache; Permutation refuses the rest.
-        zero_based = _zero_based(pi)
-    else:
+    try:
+        zero_based = _zero_based(*pi) if type(pi) is tuple else as_permutation(pi).zero_based
+    except TypeError:  # an unhashable value, such as ([1], 2): Permutation refuses it
         zero_based = as_permutation(pi).zero_based
     return kernels.count_matrix_copies(a.row_bits, a.cols, zero_based)
 
 
-@lru_cache(maxsize=256)
-def _zero_based(values: tuple[int, ...]) -> tuple[int, ...]:
-    """The validated 0-based pattern of a tuple of 1-based int values."""
+# Typed keys: (True, 2) and (1.0, 2.0) hash and compare equal to (1, 2),
+# but each value's type is part of the key, so Permutation refuses them
+# on every call.
+@lru_cache(maxsize=256, typed=True)
+def _zero_based(*values: int) -> tuple[int, ...]:
+    """The validated 0-based pattern of 1-based int values."""
     return Permutation(values).zero_based
 
 

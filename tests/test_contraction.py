@@ -67,8 +67,8 @@ def test_contract_b_group_boundaries():
 @pytest.mark.parametrize("b", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2),
                                Fraction(5, 2), Fraction(7, 3)], ids=str)
 def test_contract_b_matches_group_or_oracle(b):
-    # Two matrices per side: the second call reads the cached tables.
-    # Sides 16 and 17 map their columns through a second and third byte.
+    # Two matrices per side: the second call of a side of at most 8 reads
+    # the cached byte plan.  Sides 16 and 17 walk their rows bit by bit.
     rng = random.Random(55)
     for n in [*range(10), 16, 17]:
         for _ in range(2):
@@ -85,7 +85,7 @@ def test_contract_b_matches_group_or_oracle(b):
 
 
 def test_contract_b_matches_the_oracle_across_the_side_8_boundary():
-    # Sides up to 8 merge rows as bytes of one int, past 8 row by row.
+    # Sides up to 8 merge rows as bytes of one int, past 8 bit by bit.
     # The factors give uneven groups (3/2, 5/3, 7/2) and a side of 1
     # (b = n, n + 1); b arrives as an int, a Fraction and a string.
     rng = random.Random(808)

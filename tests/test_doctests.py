@@ -36,6 +36,7 @@ DELETED = [
     (permavoid, ("contains", "matrix_contains", "random_submatrix", "max_clique_size",
                  "LIMITS")),
     (config, ("LIMITS", "check_enum_cap", "check_matrix_cap", "check_ceiling")),
+    (contraction, ("_group_tables",)),
     (kernels, ("matrix_contains_perm",)),
     (perms, ("contains",)),
     (perms.Permutation, ("complement", "inverse")),

@@ -115,8 +115,11 @@ def test_golden_copy_counts():
 def test_copy_count_patterns_are_validated_after_a_cached_call():
     a = BinaryMatrix.filled(3, 3)
     assert count_matrix_copies(a, (1, 2)) == 9  # (1, 2) is now cached
-    # Each equals (1, 2) or shares its hash, but Permutation refuses it.
-    for bad in [(True, 2), (1.0, 2.0), (1, True), (1, 1), (0, 1), (2, 3)]:
+    assert count_matrix_copies(a, (1, 3, 2)) == 1  # and (1, 3, 2)
+    # Each equals a cached pattern or shares its hash, or cannot be hashed
+    # at all, but Permutation refuses it.
+    for bad in [(True, 2), (1.0, 2.0), (1, True), (1, 1), (0, 1), (2, 3),
+                (True, 3, 2), (1.0, 3.0, 2.0), ([1], 2)]:
         with pytest.raises(ValueError):
             count_matrix_copies(a, bad)
     assert count_matrix_copies(a, [1, 2]) == count_matrix_copies(a, Permutation((1, 2))) == 9
