@@ -148,8 +148,10 @@ def exact_expected_avoiders_grid(
 ) -> Iterator[ExpectationReport]:
     """Yield the exact E for each alpha in turn from one S_n pass: the
     copy-count histogram h, evaluated as E = sum_c h_c (1-alpha)^c.
-    Each alpha is checked when its turn comes, the first one before the
-    dimensions and the cap; an empty grid makes no pass."""
+    With 1 - alpha = a/b and C the largest count, E is the integer
+    sum_c h_c a^c b^(C-c) over b^C.  Each alpha is checked when its turn
+    comes, the first one before the dimensions and the cap; an empty
+    grid makes no pass."""
     hist = None
     for alpha in alphas:
         alpha = rngutil.exact_probability(alpha)
@@ -158,7 +160,8 @@ def exact_expected_avoiders_grid(
             check_dims(n, k, n, len(p))
             hist = copy_count_distribution(n, p).histogram
         beta = 1 - alpha
-        exact = sum((ways * beta**c for c, ways in hist.items()), Fraction(0))
+        a, b, top = beta.numerator, beta.denominator, max(hist)
+        exact = Fraction(sum(ways * a**c * b**(top - c) for c, ways in hist.items()), b**top)
         yield ExpectationReport(
             n=n,
             k=k,

@@ -6,8 +6,10 @@ permutations: a fixed (n - t)-value prefix above the lex table of the
 t values it leaves.  No block is built: each test sigma[x] < sigma[y]
 is a row of ``_atlas(t)``, a cached bit-packed table over the t! tail
 orders, and ``_carried_words`` ANDs k - 1 rows per index set.  The
-histogram sums those bits per permutation; the avoider counts OR them
-over the edges of one hypergraph or of each sampled one.
+blocks come in runs of consecutive prefixes, as many as fit ``_RUN``
+bytes of words, and each numpy pass takes a whole run.  The histogram
+sums those bits per permutation; the avoider counts OR them over the
+edges of one hypergraph or of each sampled one.
 
 The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
 count a whole (B, n) block of permutations or (B, rows, cols) block of
@@ -200,16 +202,16 @@ def _atlas(t: int) -> np.ndarray:
     return atlas
 
 
-def _block_lookups(n: int):
-    """Yield, for each lex block of S_n in order, its prefix and an
-    (n, n) array whose entry [x, y] is the ``_atlas(t)`` row of
-    sigma[x] < sigma[y] in the block.  With t = min(n, 7), the blocks
-    are the (n - t)-value prefixes in lex order, each above the
-    ``_lex_table(t)`` of the t values it leaves.  The array is
-    overwritten for the next block.
+def _block_lookups(n: int, batch: int):
+    """Yield the lex blocks of S_n in order, in runs of up to ``batch``:
+    a (P, n - t) array of the run's prefixes and a (P, n * n) array whose
+    entry [i, x * n + y] is the ``_atlas(t)`` row of sigma[x] < sigma[y]
+    in the i-th block.  With t = min(n, 7), the blocks are the
+    (n - t)-value prefixes in lex order, each above the ``_lex_table(t)``
+    of the t values it leaves.
 
-    The t values the prefix leaves fill the tail in sorted order, so
-    two tail positions compare as their lex-table entries do.  A prefix
+    The t values a prefix leaves fill the tail in sorted order, so two
+    tail positions compare as their lex-table entries do.  A prefix
     value v exceeds exactly r of them, r = v - #(smaller prefix values),
     so v is below the value at tail position b iff tail[b] >= r.  Two
     prefix values compare the same way in every column: row 0 or row 1.
@@ -218,57 +220,68 @@ def _block_lookups(n: int):
     p = n - t
     ge = 2 + t * t + (t + 1) * np.arange(t)  # + r: tail[b] >= r
     lt = ge + t * (t + 1)  # + r: tail[b] < r
-    rows = np.empty((n, n), np.intp)
-    rows[p:, p:] = 2 + np.arange(t * t).reshape(t, t)
-    for prefix in itertools.permutations(range(n), p):
-        v = np.array(prefix, np.intp)
-        lower = v[:, None] < v
-        r = v - lower.sum(axis=0)  # the tail values below each prefix value
-        rows[:p, :p] = lower
-        rows[:p, p:] = r[:, None] + ge
-        rows[p:, :p] = lt[:, None] + r
-        yield prefix, rows
+    tails = 2 + np.arange(t * t).reshape(t, t)  # tail[a] < tail[b]
+    prefixes = itertools.permutations(range(n), p)
+    while run := list(itertools.islice(prefixes, batch)):
+        v = np.array(run, np.intp).reshape(len(run), p)
+        lower = v[:, :, None] < v[:, None, :]
+        r = v - lower.sum(axis=1)  # the tail values below each prefix value
+        rows = np.empty((len(run), n, n), np.intp)
+        rows[:, p:, p:] = tails
+        rows[:, :p, :p] = lower
+        rows[:, :p, p:] = r[:, :, None] + ge
+        rows[:, p:, :p] = lt[:, None] + r[:, None, :]
+        yield v, rows.reshape(len(run), n * n)
 
 
 _CHUNK = 1 << 16  # bytes gathered, ORed or unpacked per chunk
+_RUN = 96 << 10  # bytes of carried words and lookups per run of blocks
 
 
 def _carried_words(n: int, pi: tuple[int, ...], index_sets):
-    """Yield, for each block of ``_block_lookups(n)``, its prefix and an
-    (E, W) uint64 array: row e holds, as bits packed like an ``_atlas``
-    row, the block's permutations that carry pi on ``index_sets[e]``.
-    The array is overwritten for the next block.
+    """Yield, for each run of ``_block_lookups(n, batch)``, its prefixes
+    and a (P, E, W) uint64 array: row [i, e] holds, as bits packed like
+    an ``_atlas`` row, the permutations of the run's i-th block that
+    carry pi on ``index_sets[e]``.  The array is overwritten for the
+    next run.
 
     An index set carries pi where its k - 1 tests sigma[x] < sigma[y],
     taken in pattern value order, all hold, so its row is an AND of
-    k - 1 atlas rows.  For k < 2 every row is atlas row 1.  The array
-    itself takes 632 bytes per index set at t = 7, 80 KB for all C(9, 4)
-    sets; the rows are gathered in chunks of about ``_CHUNK`` bytes.
+    k - 1 atlas rows.  For k < 2 every row is atlas row 1.  A block's
+    words take 632 bytes per index set at t = 7, 53 KB for all C(9, 3)
+    sets; a run holds as many blocks as fit their words and lookups in
+    ``_RUN`` bytes, at least one, and its rows are gathered in chunks of
+    about ``_CHUNK`` bytes across its blocks.
     """
     k = len(pi)
     atlas = _atlas(min(n, 7))
     chained = np.array(index_sets, np.intp).reshape(len(index_sets), k)[:, _value_order(pi)]
     pairs = chained[:, :-1] * n + chained[:, 1:]  # flat [x, y] of each test
-    words = np.empty((len(pairs), atlas.shape[1]), np.uint64)
+    per_block = len(pairs) * atlas[0].nbytes + 8 * n * n  # its words and lookup
+    batch = min(math.perm(n, n - min(n, 7)), max(1, _RUN // max(1, per_block)))
+    words = np.empty((batch, len(pairs), atlas.shape[1]), np.uint64)
     words[:] = atlas[1]  # the rows for k < 2; larger k overwrite them
+    flat = words.reshape(-1, atlas.shape[1])
     step = max(1, _CHUNK // atlas[0].nbytes)
-    for prefix, lookup in _block_lookups(n):
-        tests = lookup.take(pairs)
+    for prefixes, lookup in _block_lookups(n, batch):
+        tests = lookup.take(pairs, axis=1).reshape(len(prefixes) * len(pairs), pairs.shape[1])
         for s in range(0, len(tests) if k > 1 else 0, step):
             part = tests[s:s + step]
-            carried = words[s:s + step]
+            carried = flat[s:s + len(part)]
             # every index is valid; mode "raise" would copy through a buffer
             np.take(atlas, part[:, 0], axis=0, out=carried, mode="clip")
             for j in range(1, k - 1):
                 carried &= atlas[part[:, j]]
-        yield prefix, words
+        yield prefixes, words[:len(prefixes)]
 
 
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     """Histogram {c: #sigma in S_n with exactly c occurrences of pi}.
 
-    Per block, the carried words of all C(n,k) index sets are unpacked
-    in chunks of index sets and summed per permutation.
+    Per run of blocks, the carried words of all C(n,k) index sets are
+    unpacked and summed per permutation of each block, in chunks of
+    blocks (or, when one block's sets pass a chunk, of index sets) that
+    unpack to about ``_CHUNK`` bytes.
 
     >>> copy_count_histogram(3, (0, 1))
     {0: 1, 1: 2, 2: 2, 3: 1}
@@ -279,13 +292,15 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     # int64 holds every tally: n! < 2^63 for n <= 20, far past any pass that ends
     total = np.zeros(len(sets) + 1, np.int64)
     for _, words in _carried_words(n, pi, sets):
-        step = max(1, _CHUNK // (64 * words.shape[1]))  # a word unpacks to 64 bytes
-        count = np.zeros(size, dtype)
-        for s in range(0, len(words), step):
-            bits = np.unpackbits(words[s:s + step].view(np.uint8), axis=1, count=size,
-                                 bitorder="little")
-            count += bits.sum(axis=0, dtype=dtype)
-        total += np.bincount(count, minlength=len(total))
+        step = max(1, _CHUNK // (64 * words.shape[2]))  # a word unpacks to 64 bytes
+        block_step = max(1, step // max(1, len(sets)))  # 1 when a block's sets pass step
+        count = np.zeros((len(words), size), dtype)
+        for b in range(0, len(words), block_step):
+            for s in range(0, len(sets), step):
+                bits = np.unpackbits(words[b:b + block_step, s:s + step].view(np.uint8),
+                                     axis=2, count=size, bitorder="little")
+                count[b:b + block_step] += bits.sum(axis=1, dtype=dtype)
+        total += np.bincount(count.ravel(), minlength=len(total))
     return {c: m for c, m in enumerate(total.tolist()) if m}
 
 
@@ -301,9 +316,10 @@ def count_avoiders(
     avoidance.  Returns (count, avoiders or None); avoiders are 0-based
     value tuples in lexicographic order.
 
-    Per block, the carried words of the edges are ORed into one mask of
-    the permutations hit; its zero bits are the avoiders, built only
-    for ``collect``.
+    Per run of blocks, the carried words of the edges are ORed into one
+    mask per block of the permutations hit, and the run's masks are
+    unpacked at once; their zero bits are the avoiders, built only for
+    ``collect``.
 
     >>> count_avoiders(4, (0, 2, 1), None)
     (14, None)
@@ -314,16 +330,18 @@ def count_avoiders(
     out: list[tuple[int, ...]] | None = [] if collect else None
     if len(pi) < 2 and sets:
         return 0, out  # every index set carries a pattern of length 0 or 1
-    tail = _lex_table(min(n, 7))
+    size = math.factorial(min(n, 7))
+    tail = _lex_table(min(n, 7)) if collect else None
     count = 0
-    for prefix, words in _carried_words(n, pi, sets):
-        hit = np.bitwise_or.reduce(words, axis=0)
-        free = np.unpackbits((~hit).view(np.uint8), count=tail.shape[1],
+    for prefixes, words in _carried_words(n, pi, sets):
+        hit = np.bitwise_or.reduce(words, axis=1)
+        free = np.unpackbits((~hit).view(np.uint8), axis=1, count=size,
                              bitorder="little").view(bool)
         count += int(np.count_nonzero(free))
         if collect:
-            rest = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)
-            out.extend(prefix + row for row in map(tuple, rest[tail[:, free]].T.tolist()))
+            for prefix, mask in zip(map(tuple, prefixes.tolist()), free):
+                rest = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)
+                out.extend(prefix + row for row in map(tuple, rest[tail[:, mask]].T.tolist()))
     return count, out
 
 
@@ -337,30 +355,32 @@ def avoider_counts(
     block: row s of the (S, C) bool ``lam_block`` marks which of the C
     ``candidates`` index sets are edges of the s-th hypergraph.
 
-    Per block of S_n, each hypergraph's edges select their carried
-    words, ORed into the mask of the permutations it hits; the zero bits
-    are its avoiders.  The (samples x sets x words) plane is ORed in
-    chunks of about ``_CHUNK`` bytes, and index sets that are an edge of
-    no hypergraph in the block are never tested.
+    Per block of S_n, taken from the runs of ``_carried_words``, each
+    hypergraph's edges select their carried words, ORed into the mask of
+    the permutations it hits; the zero bits are its avoiders.  The
+    (samples x sets x words) plane is ORed in chunks of about ``_CHUNK``
+    bytes, and index sets that are an edge of no hypergraph in the
+    block are never tested.
     """
     used = lam_block.any(axis=0)
     sets = [e for e, u in zip(candidates, used.tolist()) if u]
     select = lam_block[:, used].astype(np.uint64) * np.uint64(0xFFFF_FFFF_FFFF_FFFF)
     size = math.factorial(min(n, 7))
     counts = np.zeros(len(select), np.int64)
-    for _, words in _carried_words(n, pi, sets):
-        row = 8 * words.shape[1]  # bytes of one index set's words
+    for _, run in _carried_words(n, pi, sets):
+        row = 8 * run.shape[2]  # bytes of one index set's words
         set_step = max(1, _CHUNK // row)
         # a sample ORs up to set_step rows and unpacks 8 rows' worth of bits
         sample_step = max(1, _CHUNK // (row * max(8, min(set_step, len(sets)))))
-        for s in range(0, len(select), sample_step):
-            some = select[s:s + sample_step, :, None]
-            hit = np.zeros((len(some), words.shape[1]), np.uint64)
-            for e in range(0, len(sets), set_step):
-                hit |= np.bitwise_or.reduce(some[:, e:e + set_step] & words[e:e + set_step],
-                                            axis=1)
-            bits = np.unpackbits(hit.view(np.uint8), axis=1)
-            counts[s:s + sample_step] += size - np.count_nonzero(bits, axis=1)
+        for words in run:
+            for s in range(0, len(select), sample_step):
+                some = select[s:s + sample_step, :, None]
+                hit = np.zeros((len(some), run.shape[2]), np.uint64)
+                for e in range(0, len(sets), set_step):
+                    hit |= np.bitwise_or.reduce(some[:, e:e + set_step] & words[e:e + set_step],
+                                                axis=1)
+                bits = np.unpackbits(hit.view(np.uint8), axis=1)
+                counts[s:s + sample_step] += size - np.count_nonzero(bits, axis=1)
     return counts.tolist()
 
 

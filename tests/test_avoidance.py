@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from permavoid import (
     multipartite_lambda_star,
     rngutil,
 )
+from permavoid import avoidance
 
 import oracles
 
@@ -153,6 +155,24 @@ def test_expectation_monotone_in_alpha():
     assert all(x >= y for x, y in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7)])
+def test_expectation_grid_sums_integer_powers(monkeypatch, alpha):
+    # E over random histograms against the Fraction sum it replaces;
+    # every histogram has a count 0, so alpha = 1 leaves E = h_0 > 0.
+    rng = random.Random(2424)
+    for _ in range(30):
+        counts = [0] + rng.sample(range(1, 60), rng.randrange(0, 8))
+        hist = {c: rng.randrange(1, 10**rng.randrange(1, 25)) for c in counts}
+        monkeypatch.setattr(avoidance, "copy_count_distribution",
+                            lambda n, p: SimpleNamespace(histogram=hist))
+        (report,) = avoidance.exact_expected_avoiders_grid(5, 2, (2, 1), [alpha])
+        want = sum((ways * (1 - alpha) ** c for c, ways in hist.items()), Fraction(0))
+        assert type(report.exact_value) is Fraction
+        assert report.exact_value == want
+        if alpha == 1:
+            assert report.exact_value == hist[0]
+
+
 def test_sigma_estimator_is_deterministic_and_close():
     est1 = mc_expected_avoiders_by_sigma(4, (2, 1), Fraction(1, 2), 4000, 17)
     est2 = mc_expected_avoiders_by_sigma(4, (2, 1), Fraction(1, 2), 4000, 17)
@@ -200,7 +220,7 @@ def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
     passes = []
     block_lookups = kernels._block_lookups
     monkeypatch.setattr(kernels, "_block_lookups",
-                        lambda n: passes.append(n) or block_lookups(n))
+                        lambda n, batch: passes.append(n) or block_lookups(n, batch))
     monkeypatch.setattr(kernels, "count_avoiders", None)  # one pass per sample is gone
     samples = 2 * rngutil.BLOCK + 1
     mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), samples, 23)

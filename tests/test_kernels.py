@@ -368,7 +368,9 @@ def test_block_lookups_name_each_blocks_comparisons(n):
     size = math.factorial(min(n, 7))
     atlas = unpacked_atlas(min(n, 7))[:, :size]
     perms = np.array(list(permutations(range(n))), np.uint8)  # n = 0: one empty permutation
-    lookups = [(prefix, rows.copy()) for prefix, rows in kernels._block_lookups(n)]
+    # runs of 5 blocks: n = 9's 72 prefixes end in a ragged run of 2
+    lookups = [(prefix, rows.reshape(n, n)) for prefixes, lookup in kernels._block_lookups(n, 5)
+               for prefix, rows in zip(prefixes.tolist(), lookup)]
     assert len(lookups) * size == len(perms)
     for b, (prefix, rows) in enumerate(lookups):
         blk = perms[b * size:(b + 1) * size].T  # the b-th lex block, one row per position
@@ -389,7 +391,7 @@ def test_carried_words_mark_each_index_sets_carriers(n):
             for i, j in combinations(range(k), 2):
                 row &= (perms[:, e[i]] < perms[:, e[j]]) == (pi[i] < pi[j])
         got = [np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-               for _, words in kernels._carried_words(n, pi, sets)]
+               for _, run in kernels._carried_words(n, pi, sets) for words in run]
         assert len(got) * size == len(perms)
         for b, bits in enumerate(got):
             assert not bits[:, size:].any()  # zero padding up to whole words
@@ -403,8 +405,8 @@ def test_count_avoiders_crosses_edge_chunks(monkeypatch):
         complete = tuple(combinations(range(8), len(pi)))
         cases += [(pi, None), (pi, tuple(sorted(rng.sample(complete, 21)))), (pi, complete[:1])]
     want = [kernels.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases]
-    # 1300 bytes hold two 632-byte atlas rows at t = 7, so 21 edges
-    # leave a half chunk; 1 byte holds one edge per chunk.
+    # 1300 bytes hold two 632-byte atlas rows at t = 7, so with 21 edges
+    # a chunk straddles two blocks of a run; 1 byte holds one edge per chunk.
     for chunk in [1300, 1]:
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
         assert [kernels.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases] == want
@@ -415,11 +417,63 @@ def test_copy_count_histogram_crosses_set_chunks(monkeypatch, n):
     patterns = [(1, 0), (0, 2, 1), (2, 0, 1), (1, 3, 0, 2)]
     want = [kernels.copy_count_histogram(n, pi) for pi in patterns]
     # At t = 7 a set's words take 632 bytes and unpack to 5056: 25280
-    # bytes gather 40 sets and unpack 5.  The C(8,3) = 56 index sets end
-    # in a gather chunk of 16 and an unpack chunk of 1, C(9,3) = 84 in 4s.
-    for chunk in [25280, 1]:
+    # bytes gather 40 sets and unpack 5, so the C(8,3) = 56 index sets of
+    # a block end in an unpack chunk of 1, C(9,3) = 84 in 4s.  424704
+    # bytes unpack 84 sets: whole blocks of a run, three of C(8,2) = 28
+    # sets or two of C(9,2) = 36 at a time.
+    for chunk in [25280, 1, 424704]:
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
         assert [kernels.copy_count_histogram(n, pi) for pi in patterns] == want
+
+
+def run_of_five(n, sets):
+    """A ``_RUN`` that holds five lex blocks of n's carried words over
+    ``sets`` with their lookups."""
+    return 5 * (len(sets) * kernels._atlas(min(n, 7))[0].nbytes + 8 * n * n)
+
+
+@pytest.mark.parametrize("blocks", [1, 5])
+def test_sweeps_keep_their_results_across_runs_of_blocks(monkeypatch, blocks):
+    # n = 9 has 72 prefixes: runs of one block, or 14 runs of five and
+    # a ragged run of two.
+    n, catalan, nfact = 9, oracles.catalan(9), math.factorial(9)
+    complete = tuple(combinations(range(n), 3))
+    cliques = tuple(oracles.clique_edges([range(4), range(4, n)], 3))
+    cases = [((0, 2, 1), None, catalan), ((0, 2, 1), complete, catalan),
+             ((1, 2, 0), tuple(oracles.windows(range(n), 3)),
+              oracles.consecutive_avoiders(n, (2, 3, 1))),
+             ((0, 2, 1), cliques, oracles.disjoint_cliques_avoiders(n, [range(4), range(5)],
+                                                                    oracles.catalan))]
+    lam = random_lambdas(np.random.default_rng(2323), 6, len(complete))
+    default = ([kernels.count_avoiders(n, pi, edges, collect=True) for pi, edges, _ in cases],
+               [kernels.copy_count_histogram(n, pi) for pi in [(1, 0), (0, 2, 1)]],
+               kernels.avoider_counts(n, (0, 2, 1), complete, lam))
+
+    def budget(pi, sets):
+        monkeypatch.setattr(kernels, "_RUN", 1 if blocks == 1 else run_of_five(n, sets))
+        runs = []
+        for _, words in kernels._carried_words(n, pi, sets):
+            assert words.nbytes <= kernels._RUN or len(words) == 1
+            runs.append(len(words))
+        assert runs == [blocks] * (72 // blocks) + [72 % blocks] * (72 % blocks > 0)
+
+    for (pi, edges, want), (count, avoiders) in zip(cases, default[0]):
+        budget(pi, complete if edges is None else edges)
+        assert count == want
+        assert kernels.count_avoiders(n, pi, edges, collect=True) == (count, avoiders)
+        assert kernels.count_avoiders(n, pi, edges) == (count, None)
+        assert avoiders == sorted(avoiders)
+    budget((1, 0), list(combinations(range(n), 2)))
+    assert kernels.copy_count_histogram(n, (1, 0)) == default[1][0] == \
+        oracles.inversion_histogram(n)
+    budget((0, 2, 1), complete)
+    hist = kernels.copy_count_histogram(n, (0, 2, 1))
+    assert hist == default[1][1] and hist[0] == catalan
+    counts = kernels.avoider_counts(n, (0, 2, 1), complete, lam)  # row 1 uses every set
+    assert counts == default[2] and counts[:2] == [nfact, catalan]
+    assert counts == [kernels.count_avoiders(n, (0, 2, 1), tuple(e for e, x in zip(complete, row)
+                                                                  if x))[0]
+                      for row in lam.tolist()]
 
 
 def random_lambdas(rng, size, count):
