@@ -7,8 +7,10 @@ t values it leaves.  No block is built: each test sigma[x] < sigma[y]
 is a row of ``_atlas(t)``, a cached bit-packed table over the t! tail
 orders, and ``_carried_words`` ANDs k - 1 rows per index set.  The
 blocks come in runs of consecutive prefixes, as many as fit ``_RUN``
-bytes of words, and each numpy pass takes a whole run.  The histogram
-sums those bits per permutation; the avoider counts OR them over the
+bytes of words, and each numpy pass takes a whole run.  Their uint8
+atlas-row lookups come in batches of whole runs, as many as fit
+``_RUN`` bytes with their tests, so one batch serves many runs.  The
+histogram sums those bits per permutation; the avoider counts OR them over the
 edges of one hypergraph or of each sampled one.
 
 The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
@@ -175,8 +177,8 @@ def _atlas(t: int) -> np.ndarray:
       * row 2 + t*t + b*(t + 1) + r is tail[b] >= r, for r = 0..t;
       * row 2 + t*t + t*(t + 1) + b*(t + 1) + r is tail[b] < r.
 
-    The rows are packed one at a time; at t = 7 the atlas holds 161
-    rows of 632 bytes.
+    The rows are packed one at a time; at t = 7 the atlas holds
+    2 + 7^2 + 2*7*8 = 163 rows of 632 bytes, so a uint8 indexes any row.
     """
     tail = _lex_table(t)
     size = tail.shape[1]
@@ -203,12 +205,12 @@ def _atlas(t: int) -> np.ndarray:
 
 
 def _block_lookups(n: int, batch: int):
-    """Yield the lex blocks of S_n in order, in runs of up to ``batch``:
-    a (P, n - t) array of the run's prefixes and a (P, n * n) array whose
-    entry [i, x * n + y] is the ``_atlas(t)`` row of sigma[x] < sigma[y]
-    in the i-th block.  With t = min(n, 7), the blocks are the
-    (n - t)-value prefixes in lex order, each above the ``_lex_table(t)``
-    of the t values it leaves.
+    """Yield the lex blocks of S_n in order, in batches of up to
+    ``batch``: a (P, n - t) array of the batch's prefixes and a (P, n * n)
+    uint8 array whose entry [i, x * n + y] is the ``_atlas(t)`` row of
+    sigma[x] < sigma[y] in the i-th block.  With t = min(n, 7), the
+    blocks are the (n - t)-value prefixes in lex order, each above the
+    ``_lex_table(t)`` of the t values it leaves.
 
     The t values a prefix leaves fill the tail in sorted order, so two
     tail positions compare as their lex-table entries do.  A prefix
@@ -222,36 +224,41 @@ def _block_lookups(n: int, batch: int):
     lt = ge + t * (t + 1)  # + r: tail[b] < r
     tails = 2 + np.arange(t * t).reshape(t, t)  # tail[a] < tail[b]
     prefixes = itertools.permutations(range(n), p)
-    while run := list(itertools.islice(prefixes, batch)):
-        v = np.array(run, np.intp).reshape(len(run), p)
+    while held := list(itertools.islice(prefixes, batch)):
+        v = np.array(held, np.intp).reshape(len(held), p)
         lower = v[:, :, None] < v[:, None, :]
         r = v - lower.sum(axis=1)  # the tail values below each prefix value
-        rows = np.empty((len(run), n, n), np.intp)
+        rows = np.empty((len(held), n, n), np.uint8)  # at most 163 atlas rows
         rows[:, p:, p:] = tails
         rows[:, :p, :p] = lower
         rows[:, :p, p:] = r[:, :, None] + ge
         rows[:, p:, :p] = lt[:, None] + r[:, None, :]
-        yield v, rows.reshape(len(run), n * n)
+        yield v, rows.reshape(len(held), n * n)
 
 
 _CHUNK = 1 << 16  # bytes gathered, ORed or unpacked per chunk
-_RUN = 96 << 10  # bytes of carried words and lookups per run of blocks
+# Bytes of carried words per run of blocks, counting 8 more per lookup
+# entry, and bytes of uint8 lookups and tests per batch of whole runs.
+_RUN = 96 << 10
 
 
 def _carried_words(n: int, pi: tuple[int, ...], index_sets):
-    """Yield, for each run of ``_block_lookups(n, batch)``, its prefixes
-    and a (P, E, W) uint64 array: row [i, e] holds, as bits packed like
-    an ``_atlas`` row, the permutations of the run's i-th block that
-    carry pi on ``index_sets[e]``.  The array is overwritten for the
-    next run.
+    """Yield, for each run of P consecutive lex blocks, its prefixes and
+    a (P, E, W) uint64 array: row [i, e] holds, as bits packed like an
+    ``_atlas`` row, the permutations of the run's i-th block that carry
+    pi on ``index_sets[e]``.  The array is overwritten for the next run.
 
     An index set carries pi where its k - 1 tests sigma[x] < sigma[y],
     taken in pattern value order, all hold, so its row is an AND of
     k - 1 atlas rows.  For k < 2 every row is atlas row 1.  A block's
     words take 632 bytes per index set at t = 7, 53 KB for all C(9, 3)
-    sets; a run holds as many blocks as fit their words and lookups in
-    ``_RUN`` bytes, at least one, and its rows are gathered in chunks of
-    about ``_CHUNK`` bytes across its blocks.
+    sets; a run holds as many blocks as fit their words, plus 8 bytes
+    per entry of their lookups, in ``_RUN`` bytes, at least one, and its
+    rows are gathered in chunks of about ``_CHUNK`` bytes across its
+    blocks.  The lookups come from ``_block_lookups`` in batches of whole
+    runs, at least one, whose uint8 lookups and atlas-row tests fit
+    ``_RUN`` bytes: all 72 blocks of S_9 in one batch for C(9, 3) sets.
+    Each run slices its tests from its batch's.
     """
     k = len(pi)
     atlas = _atlas(min(n, 7))
@@ -259,20 +266,25 @@ def _carried_words(n: int, pi: tuple[int, ...], index_sets):
     pairs = chained[:, :-1] * n + chained[:, 1:]  # flat [x, y] of each test
     per_block = len(pairs) * atlas[0].nbytes + 8 * n * n  # its words and lookup
     batch = min(math.perm(n, n - min(n, 7)), max(1, _RUN // max(1, per_block)))
+    # whole runs per lookup batch; a block's lookup and tests are 0 bytes at n = 0
+    runs = max(1, _RUN // max(1, batch * (n * n + pairs.size)))
     words = np.empty((batch, len(pairs), atlas.shape[1]), np.uint64)
     words[:] = atlas[1]  # the rows for k < 2; larger k overwrite them
     flat = words.reshape(-1, atlas.shape[1])
     step = max(1, _CHUNK // atlas[0].nbytes)
-    for prefixes, lookup in _block_lookups(n, batch):
-        tests = lookup.take(pairs, axis=1).reshape(len(prefixes) * len(pairs), pairs.shape[1])
-        for s in range(0, len(tests) if k > 1 else 0, step):
-            part = tests[s:s + step]
-            carried = flat[s:s + len(part)]
-            # every index is valid; mode "raise" would copy through a buffer
-            np.take(atlas, part[:, 0], axis=0, out=carried, mode="clip")
-            for j in range(1, k - 1):
-                carried &= atlas[part[:, j]]
-        yield prefixes, words[:len(prefixes)]
+    for held, lookup in _block_lookups(n, runs * batch):
+        batch_tests = lookup.take(pairs, axis=1)  # (blocks, E, k - 1) atlas rows
+        for r in range(0, len(held), batch):
+            prefixes = held[r:r + batch]
+            tests = batch_tests[r:r + batch].reshape(len(prefixes) * len(pairs), pairs.shape[1])
+            for s in range(0, len(tests) if k > 1 else 0, step):
+                part = tests[s:s + step]
+                carried = flat[s:s + len(part)]
+                # every index is valid; mode "raise" would copy through a buffer
+                np.take(atlas, part[:, 0], axis=0, out=carried, mode="clip")
+                for j in range(1, k - 1):
+                    carried &= atlas[part[:, j]]
+            yield prefixes, words[:len(prefixes)]
 
 
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:

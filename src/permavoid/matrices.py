@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import kernels, rngutil
 from .config import check_limit
 from .perms import PermLike, Permutation, as_int, as_permutation
@@ -280,9 +282,13 @@ def sampling_estimates(
     check_sampling(a, p, r, trials)
     rng = rngutil.generator(seed)
     ones_tally, copies_tally = Counter(), Counter()  # over the r x r submatrices
-    entries = kernels.unpack_rows(a.row_bits, a.cols)
+    entries = kernels.unpack_rows(a.row_bits, a.cols).ravel()
+    # Holds every flat index and the column count.  The draws come as
+    # uint8 or uint16, and uint16 rows * cols would wrap past 65,535;
+    # intp indices made the gather slower than fancy indexing.
+    index = np.min_scalar_type(max(a.rows, 1) * a.cols)
     for rows, cols in rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials):
-        blk = entries[rows[:, :, None], cols[:, None, :]]  # (B, r, r) submatrices
+        blk = entries.take(rows.astype(index)[:, :, None] * a.cols + cols[:, None, :])  # (B, r, r)
         ones_tally.update(blk.sum(axis=(1, 2)).tolist())
         copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
     pairs = math.comb(r, len(p)) ** 2

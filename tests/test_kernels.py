@@ -476,6 +476,86 @@ def test_sweeps_keep_their_results_across_runs_of_blocks(monkeypatch, blocks):
                       for row in lam.tolist()]
 
 
+def lookup_batches(monkeypatch):
+    """Wrap ``_block_lookups``: the list it returns gains one list per
+    call, of the number of prefixes in each batch the call yields."""
+    calls = []
+    block_lookups = kernels._block_lookups
+
+    def counted(n, batch):
+        calls.append([])
+        for prefixes, lookup in block_lookups(n, batch):
+            assert lookup.dtype == np.uint8
+            calls[-1].append(len(prefixes))
+            yield prefixes, lookup
+
+    monkeypatch.setattr(kernels, "_block_lookups", counted)
+    return calls
+
+
+def test_complete_sweep_builds_its_lookups_in_one_batch(monkeypatch):
+    # At the default budget a block of C(9, 3) sets' words fills a run,
+    # and the uint8 lookups and tests of all 72 blocks fill one batch.
+    calls = lookup_batches(monkeypatch)
+    complete = tuple(combinations(range(9), 3))
+    assert [len(words) for _, words in kernels._carried_words(9, (0, 2, 1), complete)] == [1] * 72
+    assert calls == [[72]]
+    calls.clear()
+    assert kernels.count_avoiders(9, (0, 2, 1), complete) == (oracles.catalan(9), None)
+    assert calls == [[72]]
+
+
+def test_sweeps_keep_their_results_across_lookup_batches(monkeypatch):
+    # A _RUN of two blocks' uint8 lookups and tests is far below one
+    # block's words: runs of one block, as the run budget always gave,
+    # in lookup batches of two runs that end inside S_9.
+    n, catalan, nfact = 9, oracles.catalan(9), math.factorial(9)
+    complete = tuple(combinations(range(n), 3))
+    cliques = tuple(oracles.clique_edges([range(4), range(4, n)], 3))
+    cases = [((0, 2, 1), None, catalan),
+             ((0, 2, 1), cliques, oracles.disjoint_cliques_avoiders(n, [range(4), range(5)],
+                                                                    oracles.catalan))]
+    lam = random_lambdas(np.random.default_rng(4545), 6, len(complete))
+    default = ([kernels.count_avoiders(n, pi, edges, collect=True) for pi, edges, _ in cases],
+               [kernels.copy_count_histogram(n, pi) for pi in [(1, 0), (0, 2, 1)]],
+               kernels.avoider_counts(n, (0, 2, 1), complete, lam))
+    calls = lookup_batches(monkeypatch)
+
+    def budget(pi, sets):
+        monkeypatch.setattr(kernels, "_RUN", 2 * (n * n + len(sets) * (len(pi) - 1)))
+        calls.clear()
+        assert [len(words) for _, words in kernels._carried_words(n, pi, sets)] == [1] * 72
+        assert calls == [[2] * 36]
+        calls.clear()
+
+    for (pi, edges, want), (count, avoiders) in zip(cases, default[0]):
+        budget(pi, complete if edges is None else edges)
+        assert count == want
+        assert kernels.count_avoiders(n, pi, edges, collect=True) == (count, avoiders)
+        assert kernels.count_avoiders(n, pi, edges) == (count, None)
+        assert calls == [[2] * 36] * 2
+    budget((1, 0), list(combinations(range(n), 2)))
+    assert kernels.copy_count_histogram(n, (1, 0)) == default[1][0] == \
+        oracles.inversion_histogram(n)
+    assert calls == [[2] * 36]
+    budget((0, 2, 1), complete)
+    hist = kernels.copy_count_histogram(n, (0, 2, 1))
+    assert hist == default[1][1] and hist[0] == catalan
+    counts = kernels.avoider_counts(n, (0, 2, 1), complete, lam)  # row 1 uses every set
+    assert counts == default[2] and counts[:2] == [nfact, catalan]
+    assert calls == [[2] * 36] * 2
+
+
+def test_n10_sweeps_cross_lookup_batches(monkeypatch):
+    # S_10 has 720 lex blocks, more than one batch of uint8 lookups holds.
+    calls = lookup_batches(monkeypatch)
+    assert kernels.count_avoiders(10, (0, 2, 1), None) == (oracles.catalan(10), None) \
+        == (16796, None)
+    assert kernels.copy_count_histogram(10, (1, 0)) == oracles.inversion_histogram(10)
+    assert [sum(batches) for batches in calls] == [720, 720]
+    assert all(len(batches) > 1 for batches in calls)
+
+
 def random_lambdas(rng, size, count):
     """A (size, count) bool block of random hypergraphs at densities
     from 0 to 1; the first row has no edges and the second has all."""

@@ -176,6 +176,18 @@ def test_sampling_full_size_recovers_exact_densities():
     assert rep.one_se == 0.0 and rep.pi_se == 0.0
 
 
+def test_sampling_gathers_past_uint16_flat_indices():
+    # Subsets of 300 rows are drawn as uint16, and row 219 starts at flat
+    # index 219 * 300 = 65,700: a gather that wrapped past 65,535 would
+    # read the empty rows above it.  The one 300 x 300 submatrix is the
+    # matrix, and copies of 1 are its ones.
+    rng = random.Random(300)
+    m = BinaryMatrix(300, 300, tuple(rng.getrandbits(300) if i >= 219 else 0
+                                     for i in range(300)))
+    rep = sampling_estimates(m, (1,), r=300, trials=1, seed=3)
+    assert rep.one_mean == rep.pi_mean == Fraction(m.ones, 300 * 300) > 0
+
+
 def test_sampling_blocks_equal_successive_random_submatrices():
     # The block path gathers every trial of a block at once; it must see
     # the submatrices that one draw of a row and a column subset per trial
