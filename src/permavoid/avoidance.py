@@ -15,12 +15,15 @@ hypergraph itself).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import kernels, rngutil
 from .config import check_limit
@@ -221,6 +224,13 @@ def mc_expected_avoiders_by_sigma(
     Each sample counts over C(n,k) index sets, so the projected work
     samples * C(n,k) * k is refused above the cost ceiling; n! must be
     a float (n <= 170) for the standard error.
+
+    For n <= 8 (``_CODED_N``) no permutation is built: each block of samples
+    is drawn as Fisher-Yates codes (``rngutil.permutation_codes``), and
+    one ``take`` from ``_copy_count_table`` (n! entries, 40,320 bytes at
+    n = 8) gives their copy counts.  Larger n shuffle each block and
+    count it with ``kernels.occurrence_counts``.  Both consume the same
+    stream, so a seed gives the same estimate on either path.
     """
     alpha = rngutil.exact_probability(alpha)
     if samples < 1:
@@ -233,9 +243,16 @@ def mc_expected_avoiders_by_sigma(
                          "needs n <= 170")
     rng = rngutil.generator(seed)
     pi0 = p.zero_based
-    copies = Counter()
-    for blk in rngutil.permutation_blocks(rng, n, samples):
-        copies.update(kernels.occurrence_counts(blk, pi0))
+    if n <= _CODED_N:
+        table = _copy_count_table(n, pi0)
+        tally = np.zeros(math.comb(n, len(pi0)) + 1, np.int64)
+        for codes in rngutil.permutation_codes(rng, n, samples):
+            tally += np.bincount(table.take(codes), minlength=len(tally))
+        copies = {c: m for c, m in enumerate(tally.tolist()) if m}
+    else:
+        copies = Counter()
+        for blk in rngutil.permutation_blocks(rng, n, samples):
+            copies.update(kernels.occurrence_counts(blk, pi0))
     mean, se = rngutil.mean_and_se(((1 - alpha) ** c, m) for c, m in copies.items())
     nfact = math.factorial(n)
     return MCEstimate(
@@ -248,6 +265,33 @@ def mc_expected_avoiders_by_sigma(
         estimate=nfact * mean,
         std_error=nfact * se,
     )
+
+
+# The sigma estimator looks copy counts up by shuffle code up to this n.
+# At n = 9 a table would hold 362,880 entries, take about ten times as
+# long to build as the 40,320 of n = 8, and no workload would repay it.
+_CODED_N = 8
+
+
+@functools.lru_cache(maxsize=16)
+def _copy_count_table(n: int, pi: tuple[int, ...]) -> np.ndarray:
+    """The copies of pi in the permutation of each shuffle code in
+    [0, n!), as a read-only array of the type
+    ``kernels.row_occurrence_counts`` gives (uint8 for n <= 8).
+
+    Built from blocks of ``rngutil.BLOCK`` codes, each decoded by
+    ``rngutil.code_permutations`` and counted by the kernel.  At
+    n <= 8 a table is at most 40,320 bytes, so the cache holds at most
+    16 * 40,320 bytes, about 645 KB.
+    """
+    total = math.factorial(n)
+    table = np.concatenate([
+        kernels.row_occurrence_counts(
+            rngutil.code_permutations(n, np.arange(start, min(start + rngutil.BLOCK, total))),
+            pi)
+        for start in range(0, total, rngutil.BLOCK)])
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def mc_expected_avoiders_by_lambda(

@@ -16,6 +16,7 @@ how many pattern copies:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -259,10 +260,11 @@ def min_copies_brute(n: int, a: int, pi: PermLike) -> MinCopiesReport:
         raise CapExceededError("int64_rank", _INT64_MAX, total,
                                "min-copies ranks its supports in int64, and no limit lifts that")
     best = None
-    for cells in _support_blocks(n * n, a):
+    m = n * n
+    for cells in _support_blocks(m, a):
         size = len(cells)
-        blk = np.zeros((size, n * n), np.uint8)
-        np.put_along_axis(blk, cells, 1, axis=1)
+        blk = np.zeros((size, m), np.uint8)
+        blk.reshape(-1)[(cells + np.arange(0, size * m, m)[:, None]).ravel()] = 1
         copies = kernels.matrix_copy_counts(blk.reshape(size, n, n), p.zero_based)
         low = min(copies)
         if best is None or low < best:
@@ -295,8 +297,7 @@ def _support_blocks(m: int, a: int) -> Iterator[np.ndarray]:
     Table entries past int64 are clipped; no rank reaches them.
     """
     total = math.comb(m, a)
-    tables = [np.array([min(math.comb(d, a - j), _INT64_MAX) for d in range(m)], np.int64)
-              for j in range(a)]
+    tables = _rank_tables(m, a)
     for start in range(0, total, rngutil.BLOCK):
         left = total - 1 - np.arange(start, min(start + rngutil.BLOCK, total))
         cells = np.empty((len(left), a), np.intp)
@@ -305,6 +306,18 @@ def _support_blocks(m: int, a: int) -> Iterator[np.ndarray]:
             left -= table[d]
             cells[:, j] = m - 1 - d
         yield cells
+
+
+@functools.lru_cache(maxsize=16)
+def _rank_tables(m: int, a: int) -> np.ndarray:
+    """The binomial tables of ``_support_blocks`` as a read-only (a, m)
+    int64 array: row j holds C(d, a - j) for d in range(m), clipped to
+    int64.  Each is a * m * 8 bytes: at most 2 KB under the default
+    matrix cap of 4 (m = 16), so the cache holds at most 32 KB there."""
+    tables = np.array([[min(math.comb(d, a - j), _INT64_MAX) for d in range(m)]
+                       for j in range(a)], np.int64).reshape(a, m)
+    tables.flags.writeable = False  # shared by every caller through the cache
+    return tables
 
 
 def extremal_block_diagonal(n: int, a: int) -> BinaryMatrix:

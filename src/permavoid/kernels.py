@@ -13,9 +13,10 @@ atlas-row lookups come in batches of whole runs, as many as fit
 histogram sums those bits per permutation; the avoider counts OR them over the
 edges of one hypergraph or of each sampled one.
 
-The block kernels ``occurrence_counts`` and ``matrix_copy_counts``
-count a whole (B, n) block of permutations or (B, rows, cols) block of
-matrices per call, in numpy ints up to 2^64 and in Python ints past it.
+The block kernels ``row_occurrence_counts`` (with its histogram,
+``occurrence_counts``) and ``matrix_copy_counts`` count a whole (B, n)
+block of permutations or (B, rows, cols) block of matrices per call, in
+numpy ints up to 2^64 and in Python ints past it.
 Both take their index sets (row subsets) from ``_row_subsets`` in
 chunks of at most ``_SLAB`` gathered entries, from a cached table of at
 most ``_TABLE`` sets or streamed past it, and compare a whole chunk per
@@ -23,12 +24,16 @@ numpy call.  The Monte-Carlo estimators hand them, and
 ``avoider_counts``, the blocks of ``rngutil.permutation_blocks``,
 ``rngutil.subset_pair_blocks`` and ``rngutil.bernoulli_blocks``, whose
 rows run in the order of the per-sample draws, so a seed gives the same
-tallies as one kernel call per sample would.  Permutation blocks and
-subset pairs are transposed views of position-major arrays, so
-``occurrence_counts`` reads the positions of a permutation block
-without a copy.  ``min-copies`` hands
-``matrix_copy_counts`` its supports and ``sna`` hands
-``occurrence_counts`` its family members, a block at a time.
+tallies as one kernel call per sample would.  The sigma estimator hands
+``occurrence_counts`` its sampled blocks only for n >= 9.  For n <= 8
+it hands ``row_occurrence_counts`` all n! permutations once per
+pattern, decoded from shuffle codes in blocks of ``rngutil.BLOCK``, and
+looks each sample's count up in the table they make (n! entries,
+40,320 bytes at n = 8).  Permutation blocks and subset pairs are
+transposed views of position-major arrays, so ``row_occurrence_counts``
+reads the positions of a permutation block without a copy.
+``min-copies`` hands ``matrix_copy_counts`` its supports and ``sna``
+hands ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
 
 ``count_matrix_copies`` counts one matrix.  When its columns fit in
@@ -141,9 +146,10 @@ def _lex_table(t: int) -> np.ndarray:
     return np.fromiter(flat, np.uint8, size * t).reshape(size, t).T
 
 
-def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
-    """{c: #rows with exactly c occurrences of pi} over a (B, n) block
-    of permutations, one per row; counts no row has are left out.
+def row_occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> np.ndarray:
+    """The number of occurrences of pi in each row of a (B, n) block of
+    permutations, as a length-B array of the smallest unsigned type
+    that holds C(n, k).
 
     The index sets come from ``_row_subsets`` in chunks of at most
     ``_SLAB`` gathered values, as (k, sets) arrays in pattern value
@@ -152,9 +158,10 @@ def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
     """
     size, n = blk.shape
     k = len(pi)
+    dtype = np.min_scalar_type(math.comb(n, k))  # C(n,k) bounds every count
     if k < 2:  # every index set carries a pattern of length 0 or 1
-        return {math.comb(n, k): size} if size else {}
-    count = np.zeros(size, np.min_scalar_type(math.comb(n, k)))  # C(n,k) bounds it
+        return np.full(size, math.comb(n, k), dtype)
+    count = np.zeros(size, dtype)
     positions = np.ascontiguousarray(blk.T)  # one row per position
     for sel in _row_subsets(n, _value_order(pi), max(1, _SLAB // (max(size, 1) * k))):
         rows = positions[sel]  # (k, sets, B)
@@ -162,6 +169,14 @@ def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
         for j in range(1, k - 1):
             mask &= rows[j] < rows[j + 1]
         count += mask.sum(axis=0, dtype=count.dtype)
+    return count
+
+
+def occurrence_counts(blk: np.ndarray, pi: tuple[int, ...]) -> dict[int, int]:
+    """{c: #rows with exactly c occurrences of pi} over a (B, n) block
+    of permutations, one per row: the histogram of
+    :func:`row_occurrence_counts`.  Counts no row has are left out."""
+    count = row_occurrence_counts(blk, pi)
     return {c: rows for c, rows in enumerate(np.bincount(count).tolist()) if rows}
 
 

@@ -37,8 +37,17 @@ odd, when a span is 1, or on a big-endian host, numpy draws the block
 itself.  The shuffles then run in (n, B) position-major arrays, one row
 per slot, so each Fisher-Yates step moves whole rows.
 
-tests/test_rngutil.py pins all three against per-sample loops, and
-``_bounded`` against ``integers`` itself.
+One stream of shuffle draws can be consumed two ways, from the same
+blocks: as permutations (``permutation_blocks``), or as one int64 code
+per sample (``permutation_codes``), the mixed-radix number of its n - 1
+draws, in [0, n!).  ``code_permutations`` turns codes back into the
+permutations ``permutation_blocks`` would have yielded.  The sigma
+estimator takes codes for n <= 8, where a table of all n! codes is at
+most 40,320 entries.
+
+tests/test_rngutil.py pins all three against per-sample loops,
+``_bounded`` against ``integers`` itself, and the decoded codes against
+``permutation_blocks``.
 """
 
 from __future__ import annotations
@@ -157,15 +166,59 @@ def _shuffled(size: int, n: int, draws: np.ndarray) -> np.ndarray:
     return pos.reshape(n, size)
 
 
+def _fisher_yates_draws(rng: np.random.Generator, n: int, samples: int):
+    """Yield the draws of ``samples`` full Fisher-Yates shuffles of
+    range(n), ``integers(i, n)`` at step i, as (B, n - 1) int64 blocks:
+    the one stream that both ``permutation_blocks`` and
+    ``permutation_codes`` consume."""
+    steps = np.arange(max(n - 1, 0))
+    highs = np.full_like(steps, n)
+    for size in _block_sizes(samples, n):
+        yield _bounded(rng, steps, highs, size)
+
+
 def permutation_blocks(rng: np.random.Generator, n: int, samples: int):
     """Yield ``samples`` uniformly random permutations of range(n) as
     (B, n) blocks, one permutation per row (uint8 for n <= 256).  Each
     block is the transposed view of a position-major array, so
     ``blk.T`` is C-contiguous."""
-    steps = np.arange(max(n - 1, 0))
-    highs = np.full_like(steps, n)
-    for size in _block_sizes(samples, n):
-        yield _shuffled(size, n, _bounded(rng, steps, highs, size)).T
+    for draws in _fisher_yates_draws(rng, n, samples):
+        yield _shuffled(len(draws), n, draws).T
+
+
+def _code_places(n: int) -> np.ndarray:
+    """Place values (n - 1 - i)! of the shuffle codes' digits, as int64:
+    past n = 20 a code would not fit, and past n = 21 neither would
+    its places (OverflowError)."""
+    return np.array([math.factorial(n - 1 - i) for i in range(max(n - 1, 0))], np.int64)
+
+
+def permutation_codes(rng: np.random.Generator, n: int, samples: int):
+    """Yield the shuffles of :func:`permutation_blocks`, drawn from the
+    same blocks of the same stream, as int64 codes in [0, n!), n <= 20.
+
+    Step i of a shuffle draws d_i in [i, n), and its code is the
+    mixed-radix number sum_i (d_i - i) (n - 1 - i)!: a bijection of
+    the draws onto [0, n!), which :func:`code_permutations` inverts.
+    """
+    places = _code_places(n)
+    offset = int(np.arange(len(places)) @ places)
+    for draws in _fisher_yates_draws(rng, n, samples):
+        codes = draws @ places
+        codes -= offset
+        yield codes
+
+
+def code_permutations(n: int, codes: np.ndarray) -> np.ndarray:
+    """The permutations of range(n) that ``permutation_codes`` yields as
+    ``codes``, as the (B, n) block ``permutation_blocks`` yields for
+    the same draws."""
+    rest = np.asarray(codes, np.int64)
+    draws = np.empty((max(n - 1, 0), len(rest)), np.int64)  # one row per step
+    for i, place in enumerate(_code_places(n).tolist()):
+        draws[i], rest = np.divmod(rest, place)
+        draws[i] += i
+    return _shuffled(len(rest), n, draws.T).T
 
 
 def subset_pair_blocks(
@@ -176,18 +229,50 @@ def subset_pair_blocks(
     (B, r) index arrays.  Needs 0 <= r <= min(rows, cols).
 
     Each subset is the first r rows of a position-major shuffle, sorted
-    down the columns.  A block's pools are B x rows and B x cols and
-    the submatrices its pairs induce B x r x r, so all three bound its
-    size.
+    down the columns by ``_sorted_rows``.  A block's pools are B x rows
+    and B x cols and the submatrices its pairs induce B x r x r, so all
+    three bound its size.
     """
     lows = np.tile(np.arange(r), 2)
     highs = np.repeat([rows, cols], r)
     for size in _block_sizes(trials, max(rows, cols, r * r)):
         draws = _bounded(rng, lows, highs, size)
         yield tuple(
-            np.sort(_shuffled(size, n, draws[:, h * r:(h + 1) * r])[:r], axis=0).T
+            _sorted_rows(_shuffled(size, n, draws[:, h * r:(h + 1) * r])[:r]).T
             for h, n in enumerate((rows, cols))
         )
+
+
+# Rows up to which an odd-even transposition network beats np.sort(axis=0).
+# Per (r, B) block of shuffled slots, in µs on a 2-core x86-64 host with
+# numpy 2.4.6, network against sort: uint8 pools, r = 6: 26 against
+# 145; r = 32 (B = 512): 205 against 341; r = 48 (B = 227): 261 against
+# 235.  uint16 pools (more than 256 rows or columns), r = 8 (B = 1747): 51
+# against 105; r = 12: 106 against 109; r = 16: 172 against 117.  So 10
+# keeps both types on the network's winning side.
+_NETWORK_ROWS = 10
+
+
+def _sorted_rows(slots: np.ndarray) -> np.ndarray:
+    """Each column of an (r, B) array sorted ascending down its rows.
+
+    Up to ``_NETWORK_ROWS`` rows this sorts in place with an odd-even
+    transposition network: r rounds, each one compare-exchange of every
+    row pair (i, i + 1) with i of the round's parity, done on strided
+    row views, so its numpy calls grow as r and its work as r^2.  Past
+    that it is ``np.sort(slots, axis=0)``.
+    """
+    r = len(slots)
+    if r > _NETWORK_ROWS:
+        return np.sort(slots, axis=0)
+    for step in range(r):
+        start = step % 2
+        stop = r - (r - start) % 2
+        upper, lower = slots[start:stop:2], slots[start + 1:stop:2]
+        low = np.minimum(upper, lower)
+        np.maximum(upper, lower, out=lower)
+        upper[...] = low
+    return slots
 
 
 def bernoulli_blocks(rng: np.random.Generator, p: Fraction, count: int, samples: int):

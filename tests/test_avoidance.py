@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from permavoid import (
@@ -225,6 +226,60 @@ def test_lambda_estimator_makes_one_pass_per_block_of_samples(monkeypatch):
     samples = 2 * rngutil.BLOCK + 1
     mc_expected_avoiders_by_lambda(4, 2, (2, 1), Fraction(1, 2), samples, 23)
     assert passes == [4, 4, 4]
+
+
+SIGMA_CASES = [(n, pi) for n in (0, 1, 2, 3, 5, 8)
+               for pi in ((1,), (2, 1), (1, 3, 2), (2, 4, 1, 3))]  # k > n among them
+
+
+@pytest.mark.parametrize("n, pi", SIGMA_CASES)
+def test_sigma_code_table_equals_the_shuffle_path(monkeypatch, n, pi):
+    # 2,051 samples end in a block of 3, which numpy draws itself.
+    alphas = [Fraction(0), Fraction(1), Fraction(1, 3)]
+    coded = [mc_expected_avoiders_by_sigma(n, pi, a, rngutil.BLOCK + 3, 5) for a in alphas]
+    monkeypatch.setattr(avoidance, "_CODED_N", -1)
+    shuffled = [mc_expected_avoiders_by_sigma(n, pi, a, rngutil.BLOCK + 3, 5) for a in alphas]
+    assert coded == shuffled
+
+
+def test_copy_count_table_counts_every_code_and_is_shared_read_only():
+    for n, pi in [(5, (0, 2, 1)), (6, (1, 0)), (4, (1, 3, 0, 2)), (2, (0, 1, 2))]:
+        table = avoidance._copy_count_table(n, pi)
+        assert avoidance._copy_count_table(n, pi) is table
+        assert not table.flags.writeable
+        assert table.dtype == np.uint8 and table.shape == (math.factorial(n),)
+        perms = rngutil.code_permutations(n, np.arange(math.factorial(n))).tolist()
+        assert table.tolist() == [oracles.count_naive(s, pi) for s in perms]
+    # Bounded: a full cache of n = 8 tables stays under 1 MB.
+    assert avoidance._CODED_N == 8
+    assert avoidance._copy_count_table.cache_info().maxsize * math.factorial(8) < 2**20
+
+
+def test_sigma_paths_shuffle_and_count_no_block_of_samples_twice(monkeypatch):
+    calls = {"shuffles": 0, "counts": 0, "tables": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    avoidance._copy_count_table.cache_clear()
+    monkeypatch.setattr(rngutil, "_shuffled", counted("shuffles", rngutil._shuffled))
+    monkeypatch.setattr(kernels, "row_occurrence_counts",
+                        counted("counts", kernels.row_occurrence_counts))
+    monkeypatch.setattr(avoidance, "_copy_count_table",
+                        counted("tables", avoidance._copy_count_table))
+    monkeypatch.setattr(kernels, "occurrences", None)  # the per-sample walk
+    samples = 5 * rngutil.BLOCK + 1
+    # n = 7: the table's 5,040 codes take three blocks, built once.
+    for _ in range(2):
+        mc_expected_avoiders_by_sigma(7, (1, 3, 2), Fraction(1, 3), samples, 6)
+    assert calls == {"shuffles": 3, "counts": 3, "tables": 2}
+    # n = 9: no table; one shuffle and one count per block of samples.
+    calls.update(shuffles=0, counts=0, tables=0)
+    mc_expected_avoiders_by_sigma(9, (1, 3, 2), Fraction(1, 3), samples, 6)
+    assert calls == {"shuffles": 6, "counts": 6, "tables": 0}
 
 
 def test_estimators_validate_inputs():

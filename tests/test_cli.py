@@ -753,6 +753,11 @@ GOLDEN_DIGESTS = [
     (["sample-density", "--from-file", "MATRIX", "--pi", "1,3,2", "--r", "8",
       "--trials", "60", "--seed", "5"],
      "6c155e79c3f4491858913035f08207028547ec99bf99a75588bdc80abbbb4482"),
+    # Copy counts looked up by shuffle code: 45,000 samples of S_8 in 22
+    # blocks, the last of 1,992 samples.
+    (["expect-mc", "--estimator", "sigma", "--n", "8", "--pi", "2,1",
+      "--alpha", "1/4", "--samples", "45000", "--seed", "5"],
+     "3cdb4cf49ccf47922baa82a2ba125ff9ce296a5d8a238a212aa28cde6ec82288"),
     # Contraction in both forms, the 2-contraction's preimage count, and
     # the grid hypergraph of 21 over a fixed index graph.
     (["contract", "--from-file", "SPARSE"],
@@ -795,7 +800,7 @@ GOLDEN_DIGESTS = [
     "avoiders-list-n8", "avoiders-k1-list", "avoiders-no-edges", "distribution-132-n9",
     "distribution-2413-n8", "expect-grid-21-n8", "snm-132-n9", "hypergraph-n40",
     "lambda-star-n12", "expect-mc-sigma-streamed-sets", "expect-mc-sigma-odd-draws",
-    "sample-density-span-1", "contract-2-sparse", "contract-2", "contract-b-3/2",
+    "sample-density-span-1", "expect-mc-sigma-coded-n8", "contract-2-sparse", "contract-2", "contract-b-3/2",
     "contract-2-side-12", "contract-b-3/2-side-12",
     "preimage", "build-h-21-n4", "delta-21-n4", "independents-21-n4"])
 def test_golden_stdout_digests(capsys, tmp_path, argv, digest):

@@ -165,6 +165,15 @@ def test_support_blocks_follow_combinations_row_for_row(monkeypatch, block):
             assert rows == list(itertools.combinations(range(m), a))
 
 
+def test_support_rank_tables_are_cached_read_only_binomials():
+    from permavoid.extremal import _rank_tables
+    for m, a in [(16, 0), (16, 8), (9, 9), (1, 1)]:
+        tables = _rank_tables(m, a)
+        assert _rank_tables(m, a) is tables and not tables.flags.writeable
+        assert tables.shape == (a, m)
+        assert tables.tolist() == [[math.comb(d, a - j) for d in range(m)] for j in range(a)]
+
+
 @pytest.mark.parametrize("block", [1, 5, 1000])
 def test_min_copies_witness_at_small_blocks(monkeypatch, block):
     # The first minimum and the early stop must not depend on where the

@@ -620,6 +620,17 @@ def test_occurrence_counts_match_oracles_on_blocks():
                        for c, m in tally.items())
 
 
+def test_row_occurrence_counts_match_oracles_row_by_row():
+    rng = random.Random(828)
+    # k = 0, k = 1, k > n and an empty block among them
+    for n, size in [(0, 3), (1, 4), (2, 5), (3, 0), (5, 40), (8, 60)]:
+        blk = np.array([random_sigma(rng, n) for _ in range(size)], np.uint8).reshape(size, n)
+        for pi in [()] + zero_based_patterns():
+            counts = kernels.row_occurrence_counts(blk, pi)
+            assert counts.dtype == np.min_scalar_type(math.comb(n, len(pi)))
+            assert counts.tolist() == [oracles.count_naive(s, pi) for s in blk.tolist()]
+
+
 def test_occurrence_counts_match_oracles_across_chunks(monkeypatch):
     # A small slab splits the index sets of a 9-row block into chunks of
     # one to three, and a small table streams them past C(n, k) = 4.

@@ -10,8 +10,10 @@ likewise equal the per-pair ``Fraction`` loop it replaced,
 ``oracles.mean_and_se_naive``.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -124,10 +126,58 @@ def test_permutation_blocks_equal_scalar_fisher_yates(n):
     assert_same_state(scalar, block)
 
 
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("seed", [7, 8, 9])
+@pytest.mark.parametrize("before", [None, 5])
+def test_permutation_codes_decode_to_permutation_blocks(n, seed, before):
+    # BLOCK + 3 samples end in a block of 3, which at n = 8 makes 21
+    # draws, an odd count that numpy draws itself; so does every block
+    # after a scalar draw leaves a 32-bit half buffered.
+    by_block, by_code = rngutil.generator(seed), rngutil.generator(seed)
+    if before is not None:
+        assert by_block.integers(before) == by_code.integers(before)
+    blocks = list(rngutil.permutation_blocks(by_block, n, SAMPLES))
+    codes = list(rngutil.permutation_codes(by_code, n, SAMPLES))
+    assert [len(c) for c in codes] == [len(b) for b in blocks] == [rngutil.BLOCK, 3]
+    for blk, code in zip(blocks, codes):
+        assert code.dtype == np.int64
+        assert 0 <= code.min() and code.max() < math.factorial(n)
+        decoded = rngutil.code_permutations(n, code)
+        assert decoded.dtype == blk.dtype and decoded.T.flags.c_contiguous
+        np.testing.assert_array_equal(decoded, blk)
+    assert_same_state(by_block, by_code)
+
+
+def test_permutation_codes_take_every_value_once():
+    # The codes of all n! draw sequences are [0, n!) in lex order of the
+    # draws, and decode to n! distinct permutations.
+    for n in range(7):
+        draws = list(product(*(range(i, n) for i in range(n - 1))))
+        places = [math.factorial(n - 1 - i) for i in range(n - 1)]
+        codes = [sum((d - i) * p for i, (d, p) in enumerate(zip(seq, places)))
+                 for seq in draws]
+        assert codes == list(range(math.factorial(n)))
+        perms = rngutil.code_permutations(n, np.arange(math.factorial(n))).tolist()
+        assert sorted(map(tuple, perms)) == sorted(permutations(range(n)))
+
+
+@pytest.mark.parametrize("r", range(rngutil._NETWORK_ROWS + 3))
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_sorted_rows_equal_np_sort(r, dtype):
+    # Ties among them, which no shuffle makes, and both sides of the
+    # network's row limit.
+    slots = np.random.default_rng(r).integers(0, 12, size=(r, 257)).astype(dtype)
+    want = np.sort(slots, axis=0)
+    got = rngutil._sorted_rows(slots.copy())
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("rows, cols, r", [
     (5, 5, 0), (5, 5, 1), (5, 5, 5),  # r = 0, 1, rows
     (4, 9, 1), (4, 9, 4), (9, 4, 3),  # non-square sources
     (600, 7, 2),  # wide enough that blocks hold fewer than BLOCK pairs
+    (30, 40, rngutil._NETWORK_ROWS), (40, 30, rngutil._NETWORK_ROWS + 1),  # network, np.sort
 ])
 def test_subset_pair_blocks_equal_scalar_draws(rows, cols, r):
     scalar, block = rngutil.generator(11), rngutil.generator(11)
