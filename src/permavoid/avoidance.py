@@ -150,11 +150,10 @@ def exact_expected_avoiders_grid(
     alphas: "Iterable[Fraction | int | str]",
 ) -> Iterator[ExpectationReport]:
     """Yield the exact E for each alpha in turn from one S_n pass: the
-    copy-count histogram h, evaluated as E = sum_c h_c (1-alpha)^c.
-    With 1 - alpha = a/b and C the largest count, E is the integer
-    sum_c h_c a^c b^(C-c) over b^C.  Each alpha is checked when its turn
-    comes, the first one before the dimensions and the cap; an empty
-    grid makes no pass."""
+    copy-count histogram h, evaluated as E = sum_c h_c (1-alpha)^c, an
+    integer sum of the ``_power_tally`` numerators over its denominator.
+    Each alpha is checked when its turn comes, the first one before the
+    dimensions and the cap; an empty grid makes no pass."""
     hist = None
     for alpha in alphas:
         alpha = rngutil.exact_probability(alpha)
@@ -162,9 +161,8 @@ def exact_expected_avoiders_grid(
             p = as_permutation(pi)
             check_dims(n, k, n, len(p))
             hist = copy_count_distribution(n, p).histogram
-        beta = 1 - alpha
-        a, b, top = beta.numerator, beta.denominator, max(hist)
-        exact = Fraction(sum(ways * a**c * b**(top - c) for c, ways in hist.items()), b**top)
+        terms, scale = _power_tally(alpha, hist)
+        exact = Fraction(sum(value * ways for value, ways in terms), scale)
         yield ExpectationReport(
             n=n,
             k=k,
@@ -173,6 +171,14 @@ def exact_expected_avoiders_grid(
             bound_value=_bound_value(n, k, alpha),
             empirical_constant=_empirical_constant(n, k, alpha, exact),
         )
+
+
+def _power_tally(alpha: Fraction, tally: dict[int, int]) -> tuple[list[tuple[int, int]], int]:
+    """(1-alpha)^c for each count c of a {c: multiplicity} tally, as
+    (numerator, multiplicity) pairs over one denominator: with
+    1 - alpha = a/b and C the largest count, a^c b^(C-c) over b^C."""
+    (a, b), top = (1 - alpha).as_integer_ratio(), max(tally)
+    return [(a**c * b**(top - c), ways) for c, ways in tally.items()], b**top
 
 
 def _bound_value(n: int, k: int, alpha: Fraction) -> float | None:
@@ -253,7 +259,7 @@ def mc_expected_avoiders_by_sigma(
         copies = Counter()
         for blk in rngutil.permutation_blocks(rng, n, samples):
             copies.update(kernels.occurrence_counts(blk, pi0))
-    mean, se = rngutil.mean_and_se(((1 - alpha) ** c, m) for c, m in copies.items())
+    mean, se = rngutil.mean_and_se(*_power_tally(alpha, copies))
     nfact = math.factorial(n)
     return MCEstimate(
         method="sigma",

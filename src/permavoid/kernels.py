@@ -10,8 +10,12 @@ blocks come in runs of consecutive prefixes, as many as fit ``_RUN``
 bytes of words, and each numpy pass takes a whole run.  Their uint8
 atlas-row lookups come in batches of whole runs, as many as fit
 ``_RUN`` bytes with their tests, so one batch serves many runs.  The
-histogram sums those bits per permutation; the avoider counts OR them over the
-edges of one hypergraph or of each sampled one.
+histogram sums those bits per permutation.  Both avoider kernels read
+``_hit_masks``, which ORs a block of hypergraphs' edges into masks of
+the permutations each hits: sets that are an edge of every hypergraph
+are ORed once per run with no mask, sets of none are never tested, and
+only the rest are masked per hypergraph.  A hypergraph's avoiders
+number n! less the set bits of its masks (``np.bitwise_count``).
 
 The block kernels ``row_occurrence_counts`` (with its histogram,
 ``occurrence_counts``) and ``matrix_copy_counts`` count a whole (B, n)
@@ -331,6 +335,34 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     return {c: m for c, m in enumerate(total.tolist()) if m}
 
 
+def _hit_masks(n: int, pi: tuple[int, ...], candidates, lam_block: np.ndarray):
+    """Yield, per run of ``_carried_words`` and per chunk of the
+    hypergraphs whose edges the rows of the (S, C) bool ``lam_block``
+    mark among the C ``candidates``, the run's prefixes, the rows the
+    chunk covers and an (S, P, W) uint64 array: row [s, i] marks, packed
+    like the carried words, the permutations of the run's i-th block
+    that carry pi on an edge of the s-th hypergraph.  Sets of only some
+    rows are masked in chunks of about ``_CHUNK`` bytes over whole runs;
+    with none, one row serves every row through the slice's broadcast.
+    """
+    used = lam_block.any(axis=0)
+    shared = used & lam_block.all(axis=0)  # all() holds for every set of an empty block
+    partial = np.flatnonzero(used ^ shared)
+    sets = [candidates[e] for e in partial.tolist() + np.flatnonzero(shared).tolist()]
+    select = lam_block[:, partial].astype(np.uint64) * np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+    for prefixes, words in _carried_words(n, pi, sets):
+        hit = np.bitwise_or.reduce(words[:, len(partial):], axis=1)
+        if not len(partial):
+            yield prefixes, slice(0, len(lam_block)), hit[None]
+            continue
+        masked = words[None, :, :len(partial)]
+        step = max(1, _CHUNK // masked.nbytes)
+        for s in range(0, len(select), step):
+            hits = np.bitwise_or.reduce(select[s:s + step, None, :, None] & masked, axis=2)
+            hits |= hit
+            yield prefixes, slice(s, s + step), hits
+
+
 def count_avoiders(
     n: int,
     pi: tuple[int, ...],
@@ -343,29 +375,23 @@ def count_avoiders(
     avoidance.  Returns (count, avoiders or None); avoiders are 0-based
     value tuples in lexicographic order.
 
-    Per run of blocks, the carried words of the edges are ORed into one
-    mask per block of the permutations hit, and the run's masks are
-    unpacked at once; their zero bits are the avoiders, built only for
-    ``collect``.
+    This is ``_hit_masks`` on a block of one hypergraph.  Only
+    ``collect`` unpacks the masks, whose zero bits are the avoiders.
 
     >>> count_avoiders(4, (0, 2, 1), None)
     (14, None)
     >>> count_avoiders(4, (0, 2, 1), ())
     (24, None)
     """
-    sets = list(itertools.combinations(range(n), len(pi)) if edges is None else edges)
+    sets = tuple(itertools.combinations(range(n), len(pi))) if edges is None else edges
     out: list[tuple[int, ...]] | None = [] if collect else None
-    if len(pi) < 2 and sets:
-        return 0, out  # every index set carries a pattern of length 0 or 1
-    size = math.factorial(min(n, 7))
     tail = _lex_table(min(n, 7)) if collect else None
-    count = 0
-    for prefixes, words in _carried_words(n, pi, sets):
-        hit = np.bitwise_or.reduce(words, axis=1)
-        free = np.unpackbits((~hit).view(np.uint8), axis=1, count=size,
-                             bitorder="little").view(bool)
-        count += int(np.count_nonzero(free))
+    count = math.factorial(n)
+    for prefixes, _, hit in _hit_masks(n, pi, sets, np.ones((1, len(sets)), bool)):
+        count -= int(np.bitwise_count(hit).sum())
         if collect:
+            free = np.unpackbits((~hit[0]).view(np.uint8), axis=1, count=tail.shape[1],
+                                 bitorder="little").view(bool)
             for prefix, mask in zip(map(tuple, prefixes.tolist()), free):
                 rest = np.array(sorted(set(range(n)).difference(prefix)), np.uint8)
                 out.extend(prefix + row for row in map(tuple, rest[tail[:, mask]].T.tolist()))
@@ -382,33 +408,12 @@ def avoider_counts(
     block: row s of the (S, C) bool ``lam_block`` marks which of the C
     ``candidates`` index sets are edges of the s-th hypergraph.
 
-    Per block of S_n, taken from the runs of ``_carried_words``, each
-    hypergraph's edges select their carried words, ORed into the mask of
-    the permutations it hits; the zero bits are its avoiders.  The
-    (samples x sets x words) plane is ORed in chunks of about ``_CHUNK``
-    bytes, and index sets that are an edge of no hypergraph in the
-    block are never tested.
+    Each row's count is n! less the set bits of its ``_hit_masks``.
     """
-    used = lam_block.any(axis=0)
-    sets = [e for e, u in zip(candidates, used.tolist()) if u]
-    select = lam_block[:, used].astype(np.uint64) * np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-    size = math.factorial(min(n, 7))
-    counts = np.zeros(len(select), np.int64)
-    for _, run in _carried_words(n, pi, sets):
-        row = 8 * run.shape[2]  # bytes of one index set's words
-        set_step = max(1, _CHUNK // row)
-        # a sample ORs up to set_step rows and unpacks 8 rows' worth of bits
-        sample_step = max(1, _CHUNK // (row * max(8, min(set_step, len(sets)))))
-        for words in run:
-            for s in range(0, len(select), sample_step):
-                some = select[s:s + sample_step, :, None]
-                hit = np.zeros((len(some), run.shape[2]), np.uint64)
-                for e in range(0, len(sets), set_step):
-                    hit |= np.bitwise_or.reduce(some[:, e:e + set_step] & words[e:e + set_step],
-                                                axis=1)
-                bits = np.unpackbits(hit.view(np.uint8), axis=1)
-                counts[s:s + sample_step] += size - np.count_nonzero(bits, axis=1)
-    return counts.tolist()
+    hits = np.zeros(len(lam_block), np.int64)
+    for _, rows, hit in _hit_masks(n, pi, candidates, lam_block):
+        hits[rows] += np.bitwise_count(hit).sum(axis=(1, 2), dtype=np.int64)
+    return (math.factorial(n) - hits).tolist()
 
 
 def unpack_rows(row_bits, ncols: int) -> np.ndarray:

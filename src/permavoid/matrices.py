@@ -214,8 +214,8 @@ def densities(a: BinaryMatrix, pi: PermLike) -> DensityPair:
     k = len(p)
     pairs = math.comb(a.rows, k) * math.comb(a.cols, k)
     return DensityPair(
-        one_density=_ratio(a.ones, a.rows * a.cols),
-        pi_density=_ratio(count_matrix_copies(a, p), pairs),
+        one_density=Fraction(a.ones, max(1, a.rows * a.cols)),
+        pi_density=Fraction(count_matrix_copies(a, p), max(1, pairs)),
     )
 
 
@@ -224,11 +224,6 @@ def check_densities(a: BinaryMatrix, pi: PermLike) -> None:
     cols columns for each of C(rows,k) row subsets and k pattern rows."""
     k = len(as_permutation(pi))
     check_limit("cost_ceiling", math.comb(a.rows, k) * k * a.cols)
-
-
-def _ratio(part: int, whole: int) -> Fraction:
-    """part/whole exactly, and 0 for an empty whole."""
-    return Fraction(part, whole) if whole else Fraction(0)
 
 
 def _check_sample_size(a: BinaryMatrix, r: int) -> None:
@@ -291,13 +286,9 @@ def sampling_estimates(
         blk = entries.take(rows.astype(index)[:, :, None] * a.cols + cols[:, None, :])  # (B, r, r)
         ones_tally.update(blk.sum(axis=(1, 2)).tolist())
         copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
-    pairs = math.comb(r, len(p)) ** 2
-    one_mean, one_se = rngutil.mean_and_se(
-        (_ratio(ones, r * r), m) for ones, m in ones_tally.items()
-    )
-    pi_mean, pi_se = rngutil.mean_and_se(
-        (_ratio(copies, pairs), m) for copies, m in copies_tally.items()
-    )
+    one_mean, one_se = rngutil.mean_and_se(ones_tally.items(), max(1, r * r))
+    pi_mean, pi_se = rngutil.mean_and_se(copies_tally.items(),
+                                         max(1, math.comb(r, len(p)) ** 2))
     return SamplingReport(
         r=r,
         trials=trials,

@@ -77,27 +77,24 @@ def exact_probability(alpha: "Fraction | int | str") -> Fraction:
     return alpha
 
 
-def mean_and_se(tally: Iterable[tuple[Fraction | int, int]]) -> tuple[Fraction, float]:
+def mean_and_se(tally: Iterable[tuple[Fraction | int, int]],
+                denominator: int = 1) -> tuple[Fraction, float]:
     """Exact mean and float standard error (0.0 for one sample) of a
-    tally of (value, multiplicity) pairs: the reduction behind every
-    estimator.  Pairs, not a mapping, since outcomes may share a value.
-
-    The values are scaled to integers over their common denominator,
-    so the sums are integer sums and only the mean and the variance
-    become ``Fraction``s.
+    tally of (numerator, multiplicity) pairs over one common
+    ``denominator``: the reduction behind every estimator.  Pairs, not
+    a mapping, since outcomes may share a value.  Integer numerators
+    keep the sums in integers; only the mean and variance are
+    ``Fraction``s.
     """
-    pairs = list(tally)
-    scale = math.lcm(*(value.denominator for value, _ in pairs))
     m = total = squares = 0
-    for value, ways in pairs:
-        a = value.numerator * (scale // value.denominator)
+    for value, ways in tally:
         m += ways
-        total += ways * a
-        squares += ways * a * a
-    mean = Fraction(total, m * scale)
+        total += ways * value
+        squares += ways * value * value
+    mean = Fraction(total, m * denominator)
     if m == 1:
         return mean, 0.0
-    var = Fraction(m * squares - total * total, m * (m - 1) * scale * scale)
+    var = Fraction(m * squares - total * total, m * (m - 1) * denominator * denominator)
     return mean, math.sqrt(max(0.0, float(var)) / m)
 
 

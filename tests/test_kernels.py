@@ -591,6 +591,15 @@ def test_avoider_counts_match_one_pass_per_hypergraph():
         count = math.comb(n, len(pi))
         assert_avoider_counts(n, pi, random_lambdas(rng, size, count))
         assert_avoider_counts(n, pi, np.zeros((2, count), bool))  # no index set used
+        # sets that every row, some rows and no row has as edges
+        mixed = random_lambdas(rng, size, count)
+        mixed[:, ::3] = True
+        mixed[:, 1::3] = False
+        assert_avoider_counts(n, pi, mixed)
+        assert_avoider_counts(n, pi, np.repeat(mixed[-1:], 3, axis=0))  # identical rows
+        assert_avoider_counts(n, pi, mixed[-1:])  # one row
+        assert_avoider_counts(n, pi, np.tile([[True], [False]], count))  # every set, then none
+        assert_avoider_counts(n, pi, np.ones((1, count), bool))  # one row with every set
     assert kernels.avoider_counts(3, (1, 0), ((0, 1), (0, 2), (1, 2)),
                                   np.zeros((0, 3), bool)) == []
 

@@ -271,3 +271,7 @@ def test_mean_and_se_equals_the_fraction_loop_on_random_tallies():
     for _ in range(300):
         tally = random_tally(rng)
         assert rngutil.mean_and_se(tally) == oracles.mean_and_se_naive(tally)
+        # the same values as integer numerators over their common denominator
+        scale = math.lcm(*(Fraction(value).denominator for value, _ in tally))
+        numerators = [(int(value * scale), ways) for value, ways in tally]
+        assert rngutil.mean_and_se(iter(numerators), scale) == oracles.mean_and_se_naive(tally)
