@@ -154,19 +154,20 @@ def random_uniform_hypergraph(
 
     ``alpha`` is an exact rational (so the Bernoulli draws are exact
     integer comparisons, identical on every platform for a fixed
-    seed); ``rng`` is a seed or a generator.  The C(n,k) candidates
-    are listed, so their number is checked against the edge ceiling
-    first.
+    seed); ``rng`` is a seed or a generator.  One indicator is drawn
+    per candidate, so C(n,k) is checked against the edge ceiling first;
+    the candidates themselves are streamed, never listed.
     """
     alpha = rngutil.exact_probability(alpha)
     if k > n:
         raise ValueError(f"uniformity k={k} exceeds vertex count n={n}")
-    check_limit("edge_ceiling", math.comb(n, k))
+    count = math.comb(n, k)
+    check_limit("edge_ceiling", count)
     if isinstance(rng, int):
         rng = rngutil.generator(rng)
-    candidates = list(combinations(range(1, n + 1), k))
-    mask = rngutil.bernoulli_mask(rng, alpha, len(candidates))
-    return KUniformHypergraph._trusted(n, k, tuple(compress(candidates, mask)))
+    mask = rngutil.bernoulli_mask(rng, alpha, count)
+    edges = compress(combinations(range(1, n + 1), k), mask)
+    return KUniformHypergraph._trusted(n, k, tuple(edges))
 
 
 def multipartite_lambda_star(n: int, k: int) -> KUniformHypergraph:

@@ -20,8 +20,9 @@ number n! less the set bits of its masks (``np.bitwise_count``).
 The block kernels ``row_occurrence_counts`` (with its histogram,
 ``occurrence_counts``) and ``matrix_copy_counts`` count a whole (B, n)
 block of permutations or (B, rows, cols) block of matrices per call, in
-numpy ints up to 2^64 and in Python ints past it.
-Both take their index sets (row subsets) from ``_row_subsets`` in
+numpy ints up to 2^64 and in Python ints past it; ``mask_copy_counts``
+counts a (rows, B) block of row masks.
+All three take their index sets (row subsets) from ``_row_subsets`` in
 chunks of at most ``_SLAB`` gathered entries, from a cached table of at
 most ``_TABLE`` sets or streamed past it, and compare a whole chunk per
 numpy call.  The Monte-Carlo estimators hand them, and
@@ -40,12 +41,21 @@ reads the positions of a permutation block without a copy.
 hands ``occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
 
-``count_matrix_copies`` counts one matrix.  When its columns fit in
-one byte and its nonzero rows hold at most 64 cells, it ORs one cached
-bitset per nibble of the rows (the row and column subset pairs the
-nibble rules out) and counts the pairs left, in plain Python ints;
-otherwise it is ``matrix_copy_counts`` on a block of one, a numpy sweep
-over chunks of row subsets.
+Copies of a pattern in 0-1 matrices are counted three ways, split by
+8 columns:
+
+  * one matrix of at most 8 columns, whose nonzero rows hold at most 64
+    cells: ``count_matrix_copies`` ORs one cached bitset per nibble of
+    the rows (the row and column subset pairs the nibble rules out) and
+    counts the pairs left, in plain Python ints;
+  * a block of matrices of at most 8 columns, as uint8 row masks:
+    ``mask_copy_counts`` ANDs one cached bitset of column subsets per
+    row of each row subset and counts the bits left
+    (``np.bitwise_count``).  ``sample-density`` hands it its samples for
+    r <= 8;
+  * any wider block, and any other single matrix as a block of one:
+    ``matrix_copy_counts``, the chain sweep, a numpy running-sum pass
+    over chunks of row subsets.
 ``occurrences``, the one walk over the occurrences of a pattern in one
 permutation (all of them, or those on given edges), is plain Python.
 
@@ -566,3 +576,57 @@ def matrix_copy_counts(blk: np.ndarray, pi: tuple[int, ...]) -> list[int]:
             f *= slab[j:j + width, j]
         total += f.sum(axis=(0, 1), dtype=dtype)
     return total.tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_table(ncols: int, pi: tuple[int, ...]) -> np.ndarray:
+    """A read-only (k, 2^ncols, W) uint64 array, ncols <= 8: entry
+    [i, v] is the bitset, over the column k-subsets s in lex order, of
+    those whose column s[pi[i]] is set in the row mask v, packed
+    little-endian into W words.  W is 2 only for C(8, 4) = 70 subsets.
+
+    The largest tables (ncols = 8 with k = 4, 7 or 8) take 16 KB, so
+    the cache holds at most 64 * 16 KB = 1 MB.
+    """
+    k = len(pi)
+    sets = np.array(list(itertools.combinations(range(ncols), k)), np.intp)
+    placed = sets[:, pi].T  # (k, subsets): the column of pattern row i
+    bits = (np.arange(1 << ncols)[None, :, None] >> placed[:, None, :]) & 1
+    table = np.zeros((k, 1 << ncols, 8 * -(-len(sets) // 64)), np.uint8)
+    table[:, :, :(len(sets) + 7) // 8] = np.packbits(bits, axis=2, bitorder="little")
+    table = table.view(np.uint64)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def mask_copy_counts(masks: np.ndarray, ncols: int, pi: tuple[int, ...]) -> np.ndarray:
+    """Copies of the pattern's permutation matrix in each of B 0-1
+    matrices of at most 8 columns, given as a (rows, B) uint8 array of
+    row masks (bit j = column j), as a length-B array of the smallest
+    unsigned type that holds C(rows, k) * C(ncols, k).
+
+    Every row is looked up once per pattern row i in ``_mask_table``,
+    the bitset of column k-subsets whose column of pattern row i it
+    sets.  A row k-subset a hosts a copy on each column subset set in
+    the AND of its rows' bitsets, row a[i] taken for pattern row i, so
+    the copies are the set bits of those ANDs (``np.bitwise_count``)
+    over every row subset.  The row subsets come from ``_row_subsets``
+    in chunks of at most ``_SLAB`` words per AND.
+    """
+    nrows, size = masks.shape
+    k = len(pi)
+    dtype = np.min_scalar_type(math.comb(nrows, k) * math.comb(ncols, k))
+    if k == 0:
+        return np.ones(size, dtype)
+    if k > nrows or k > ncols:
+        return np.zeros(size, dtype)
+    table = _mask_table(ncols, pi)
+    looked = table.take(masks, axis=1)  # (k, rows, B, W)
+    count = np.zeros(size, dtype)
+    chunk = max(1, _SLAB // (max(size, 1) * table.shape[2]))  # row subsets per AND
+    for sel in _row_subsets(nrows, tuple(range(k)), chunk):
+        both = looked[0].take(sel[0], axis=0)  # (subsets, B, W)
+        for i in range(1, k):
+            both &= looked[i].take(sel[i], axis=0)
+        count += np.bitwise_count(both).sum(axis=(0, 2), dtype=dtype)
+    return count

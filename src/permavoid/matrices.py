@@ -234,13 +234,28 @@ def _check_sample_size(a: BinaryMatrix, r: int) -> None:
 def check_sampling(a: BinaryMatrix, pi: PermLike, r: int, trials: int) -> None:
     """Refuse :func:`sampling_estimates` for bad trials or r, then above
     the cost ceiling: each trial sweeps r columns for each of C(r,k) row
-    subsets and k pattern rows, so its work is trials * C(r,k) * k * r."""
+    subsets and k pattern rows, so its work is trials * C(r,k) * k * r.
+    The charge is the chain sweep's for every r.  For r <= 8 the row
+    masks do less, k ANDs and popcounts of at most two words per row
+    subset, so it is still an upper bound there."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_sample_size(a, r)
     k = len(as_permutation(pi))
     cost = trials * max(1, math.comb(r, k)) * max(1, k) * max(1, r)
     check_limit("cost_ceiling", cost)
+
+
+# The widest samples whose rows are gathered as uint8 masks; wider ones
+# take the chain sweep.
+_MASK_COLS = 8
+
+
+def _tally_pairs(tally: np.ndarray) -> list[tuple[int, int]]:
+    """The (value, multiplicity) pairs of a ``np.bincount`` tally, for
+    the values it holds."""
+    held = np.flatnonzero(tally)
+    return list(zip(held.tolist(), tally[held].tolist()))
 
 
 @dataclass(frozen=True)
@@ -271,24 +286,49 @@ def sampling_estimates(
 ) -> SamplingReport:
     """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices.
 
-    Gated by :func:`check_sampling` before any draw.
+    For r <= 8 each block's samples are gathered as r uint8 row masks
+    and counted by ``kernels.mask_copy_counts``, and both tallies are
+    ``np.bincount`` arrays.  Wider samples are gathered as a (B, r, r)
+    entry block for ``kernels.matrix_copy_counts``.  Gated by
+    :func:`check_sampling` before any draw; its charge is unchanged by
+    the row masks, and still an upper bound on their work.
     """
     p = as_permutation(pi)
     check_sampling(a, p, r, trials)
     rng = rngutil.generator(seed)
-    ones_tally, copies_tally = Counter(), Counter()  # over the r x r submatrices
     entries = kernels.unpack_rows(a.row_bits, a.cols).ravel()
     # Holds every flat index and the column count.  The draws come as
     # uint8 or uint16, and uint16 rows * cols would wrap past 65,535;
     # intp indices made the gather slower than fancy indexing.
     index = np.min_scalar_type(max(a.rows, 1) * a.cols)
-    for rows, cols in rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials):
-        blk = entries.take(rows.astype(index)[:, :, None] * a.cols + cols[:, None, :])  # (B, r, r)
-        ones_tally.update(blk.sum(axis=(1, 2)).tolist())
-        copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
-    one_mean, one_se = rngutil.mean_and_se(ones_tally.items(), max(1, r * r))
-    pi_mean, pi_se = rngutil.mean_and_se(copies_tally.items(),
-                                         max(1, math.comb(r, len(p)) ** 2))
+    blocks = rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials)
+    if r <= _MASK_COLS:
+        ones = np.zeros(r * r + 1, np.int64)  # over the r x r submatrices
+        copies = np.zeros(math.comb(r, len(p)) ** 2 + 1, np.int64)
+        # Each column plane is multiplied by its bit: 13 against 33 µs
+        # for a broadcast shift, per 2,048-trial block at r = 6 (2-core
+        # x86-64 host, numpy 2.4.6).
+        bits = (1 << np.arange(r, dtype=np.uint8))[:, None, None]
+        for rows, cols in blocks:
+            # (r cols, r rows, B): column plane j goes to bit j of each row mask
+            planes = entries.take(rows.T.astype(index)[None] * a.cols + cols.T[:, None, :])
+            planes *= bits
+            masks = np.bitwise_or.reduce(planes, axis=0)  # (r rows, B)
+            ones += np.bincount(np.bitwise_count(masks).sum(axis=0, dtype=np.uint8),
+                                minlength=len(ones))
+            copies += np.bincount(kernels.mask_copy_counts(masks, r, p.zero_based),
+                                  minlength=len(copies))
+        ones_tally, copies_tally = _tally_pairs(ones), _tally_pairs(copies)
+    else:
+        ones_tally, copies_tally = Counter(), Counter()
+        for rows, cols in blocks:
+            # (B, r, r)
+            blk = entries.take(rows.astype(index)[:, :, None] * a.cols + cols[:, None, :])
+            ones_tally.update(blk.sum(axis=(1, 2)).tolist())
+            copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
+        ones_tally, copies_tally = ones_tally.items(), copies_tally.items()
+    one_mean, one_se = rngutil.mean_and_se(ones_tally, max(1, r * r))
+    pi_mean, pi_se = rngutil.mean_and_se(copies_tally, max(1, math.comb(r, len(p)) ** 2))
     return SamplingReport(
         r=r,
         trials=trials,

@@ -606,9 +606,12 @@ def test_avoider_counts_match_one_pass_per_hypergraph():
 
 @pytest.mark.parametrize("size", [3, 10])
 def test_avoider_counts_cross_the_plane_chunks(monkeypatch, size):
-    # At n = 5 an index set's words take 16 bytes: 40 bytes split the
-    # sets in twos and the samples one by one; 1000 bytes take every set
-    # and split 10 samples over 10 sets (k = 2) as 6 + 4.
+    # At n = 5, S_5 is one lex block and an index set's words take 16
+    # bytes.  At 40 bytes ``_carried_words`` gathers the sets two at a
+    # time and ``_hit_masks`` masks the samples one by one.  At 1000
+    # bytes every set is gathered at once; no set is an edge of every
+    # row or of none, so all are masked, and 10 samples over 10 sets
+    # (k = 2 or 3) split as 6 + 4.
     rng = np.random.default_rng(1111 + size)
     for chunk in [40, 1000]:
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
@@ -668,3 +671,56 @@ def test_matrix_copy_counts_match_oracles_on_blocks():
             want = [oracles.matrix_copies_naive(grid, one_based(pi)) for grid in blk.tolist()]
             assert counts == want
             assert all(type(c) is int for c in counts)
+
+
+def row_masks(blk):
+    """The (rows, B) uint8 row masks of a (B, rows, cols) block, cols <= 8."""
+    weights = 1 << np.arange(blk.shape[2], dtype=np.uint8)
+    return np.ascontiguousarray((blk * weights).sum(axis=2, dtype=np.uint8).T)
+
+
+@pytest.mark.parametrize("slab,table", [(kernels._SLAB, kernels._TABLE), (64, 4)],
+                         ids=["default", "small-chunks"])
+def test_mask_copy_counts_match_the_chain_sweep(monkeypatch, slab, table):
+    # Every r x r shape up to 8 x 8 and some non-square ones, patterns of
+    # length 0 to 5 (so k > r and C(8, 4) = 70 column subsets, two
+    # words), with all-zero and all-one rows; small chunks split and
+    # stream the row subsets.
+    monkeypatch.setattr(kernels, "_SLAB", slab)
+    monkeypatch.setattr(kernels, "_TABLE", table)
+    rng = random.Random(919)
+    shapes = [(r, r) for r in range(9)] + [(3, 8), (8, 3), (12, 5), (5, 7)]
+    for rows, cols in shapes:
+        grids = [[[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+                 for density in (0.0, 0.2, 0.5, 0.8, 1.0) for _ in range(6)]
+        for grid in grids[6:24:3]:
+            if rows:
+                grid[rng.randrange(rows)] = [0] * cols
+                grid[rng.randrange(rows)] = [1] * cols
+        blk = np.array(grids, np.uint8).reshape(len(grids), rows, cols)
+        masks = row_masks(blk)
+        for k in range(6):
+            for pi in patterns_of_length(k, rng):
+                counts = kernels.mask_copy_counts(masks, cols, pi)
+                assert counts.tolist() == kernels.matrix_copy_counts(blk, pi)
+                assert counts.dtype == np.min_scalar_type(math.comb(rows, k) * math.comb(cols, k))
+    full = kernels.mask_copy_counts(np.full((8, 3), 0xFF, np.uint8), 8, (1, 3, 0, 2))
+    assert full.tolist() == [4900] * 3
+    assert kernels.mask_copy_counts(np.zeros((4, 0), np.uint8), 4, (0, 1)).tolist() == []
+
+
+def test_mask_tables_are_read_only_and_bounded():
+    # Each table is (k, 2^ncols, W) words, W = 2 only for C(8, 4) = 70
+    # column subsets; the largest take 16 KB, so 64 of them stay at 1 MB.
+    assert kernels._mask_table.cache_info().maxsize == 64
+    largest = 0
+    for ncols in range(1, 9):
+        for k in range(1, ncols + 1):  # the kernel builds no table at k = 0
+            table = kernels._mask_table(ncols, tuple(range(k)))
+            assert not table.flags.writeable
+            words = 2 if (ncols, k) == (8, 4) else 1
+            assert table.shape == (k, 1 << ncols, words) and table.dtype == np.uint64
+            largest = max(largest, table.nbytes)
+    assert largest == 16 << 10
+    with pytest.raises(ValueError):
+        kernels._mask_table(8, (0, 1, 2, 3))[0, 0, 0] = 0

@@ -6,6 +6,8 @@ import pytest
 
 from permavoid import (
     BinaryMatrix,
+    kernels,
+    matrices,
     rngutil,
     Permutation,
     count_matrix_copies,
@@ -216,3 +218,63 @@ def test_sampling_is_deterministic_and_unbiased_enough():
     assert abs(float(rep1.pi_mean - exact.pi_density)) <= 4 * max(rep1.pi_se, 1e-12)
     with pytest.raises(ValueError):
         sampling_estimates(m, (1, 2), r=2, trials=0, seed=0)
+
+
+def sampling_reports(monkeypatch, *args):
+    """``sampling_estimates(*args)`` by row masks and by the chain sweep."""
+    masked = sampling_estimates(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_MASK_COLS", -1)
+        return masked, sampling_estimates(*args)
+
+
+@pytest.mark.parametrize("rows,cols", [(20, 9), (9, 20), (12, 300), (300, 300)], ids=str)
+def test_sampling_row_masks_equal_the_chain_sweep(monkeypatch, rows, cols):
+    # Tall, wide and 300-column sources (a 300 x 300 one gathers past
+    # uint16 flat indices), each with a partial last block; patterns of
+    # length 0 to 4, so k > r at r = 0 and 1 and 70 column subsets at r = 8.
+    m = random_matrix(random.Random(rows * 1000 + cols), rows, cols, density=0.4)
+    for r in (0, 1, 6, 8):
+        for pi in [(), (1,), (2, 1), (1, 3, 2), (2, 4, 1, 3)]:
+            masked, chained = sampling_reports(monkeypatch, m, pi, r, rngutil.BLOCK + 7, r + 5)
+            assert masked == chained
+
+
+def test_sampling_row_masks_recover_exact_densities(monkeypatch):
+    # A full-size sample of an 8 x 8 matrix is the matrix, on both paths.
+    m = random_matrix(random.Random(88), 8, 8, density=0.6)
+    for pi in [(1, 2), (2, 4, 1, 3), (1, 2, 3, 4, 5)]:
+        exact = densities(m, pi)
+        for rep in sampling_reports(monkeypatch, m, pi, 8, 3, 0):
+            assert (rep.one_mean, rep.pi_mean) == (exact.one_density, exact.pi_density)
+
+
+def counting(monkeypatch, name):
+    """Wrap ``kernels.<name>`` so that its calls are listed."""
+    calls = []
+    kernel = getattr(kernels, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, name, wrapper)
+    return calls
+
+
+def test_sampling_counts_each_block_once_by_row_masks_up_to_8_columns(monkeypatch):
+    # Three blocks, the last partial: r <= 8 makes one mask-kernel call
+    # per block and never sweeps chains; r = 9 never reads row masks.
+    masked = counting(monkeypatch, "mask_copy_counts")
+    chained = counting(monkeypatch, "matrix_copy_counts")
+    m = random_matrix(random.Random(99), 10, 12)
+    trials = 2 * rngutil.BLOCK + 5
+    for r in (1, 6, 8):
+        masked.clear()
+        sampling_estimates(m, (1, 3, 2), r, trials, r)
+        assert [(masks.shape, ncols) for masks, ncols, _ in masked] == \
+            [((r, rngutil.BLOCK), r)] * 2 + [((r, 5), r)]
+        assert chained == []
+    masked.clear()
+    sampling_estimates(m, (1, 3, 2), 9, trials, 9)
+    assert masked == [] and len(chained) == 3
