@@ -286,10 +286,12 @@ def sampling_estimates(
 ) -> SamplingReport:
     """Estimate 1(M) and pi(M) from ``trials`` random r x r submatrices.
 
-    For r <= 8 each block's samples are gathered as r uint8 row masks
-    and counted by ``kernels.mask_copy_counts``, and both tallies are
-    ``np.bincount`` arrays.  Wider samples are gathered as a (B, r, r)
-    entry block for ``kernels.matrix_copy_counts``.  Gated by
+    Each block's samples are gathered once, as an (r cols, r rows, B)
+    array.  For r <= 8 its column planes are OR-ed into r uint8 row
+    masks, counted by ``kernels.mask_copy_counts``, and both tallies
+    are ``np.bincount`` arrays.  Wider samples go to the chain sweep,
+    ``kernels.matrix_copy_counts``, whose (cols, rows, B) layout the
+    gather already is, so it copies nothing.  Gated by
     :func:`check_sampling` before any draw; its charge is unchanged by
     the row masks, and still an upper bound on their work.
     """
@@ -302,6 +304,9 @@ def sampling_estimates(
     # intp indices made the gather slower than fancy indexing.
     index = np.min_scalar_type(max(a.rows, 1) * a.cols)
     blocks = rngutil.subset_pair_blocks(rng, a.rows, a.cols, r, trials)
+    # (r cols, r rows, B): entry (i, j) of sample b sits at [j, i, b]
+    gathered = (entries.take(rows.T.astype(index)[None] * a.cols + cols.T[:, None, :])
+                for rows, cols in blocks)
     if r <= _MASK_COLS:
         ones = np.zeros(r * r + 1, np.int64)  # over the r x r submatrices
         copies = np.zeros(math.comb(r, len(p)) ** 2 + 1, np.int64)
@@ -309,10 +314,8 @@ def sampling_estimates(
         # for a broadcast shift, per 2,048-trial block at r = 6 (2-core
         # x86-64 host, numpy 2.4.6).
         bits = (1 << np.arange(r, dtype=np.uint8))[:, None, None]
-        for rows, cols in blocks:
-            # (r cols, r rows, B): column plane j goes to bit j of each row mask
-            planes = entries.take(rows.T.astype(index)[None] * a.cols + cols.T[:, None, :])
-            planes *= bits
+        for planes in gathered:
+            planes *= bits  # column plane j goes to bit j of each row mask
             masks = np.bitwise_or.reduce(planes, axis=0)  # (r rows, B)
             ones += np.bincount(np.bitwise_count(masks).sum(axis=0, dtype=np.uint8),
                                 minlength=len(ones))
@@ -321,10 +324,9 @@ def sampling_estimates(
         ones_tally, copies_tally = _tally_pairs(ones), _tally_pairs(copies)
     else:
         ones_tally, copies_tally = Counter(), Counter()
-        for rows, cols in blocks:
-            # (B, r, r)
-            blk = entries.take(rows.astype(index)[:, :, None] * a.cols + cols[:, None, :])
-            ones_tally.update(blk.sum(axis=(1, 2)).tolist())
+        for planes in gathered:
+            ones_tally.update(planes.sum(axis=(0, 1)).tolist())
+            blk = planes.transpose(2, 1, 0)  # (B, rows, cols), a view
             copies_tally.update(kernels.matrix_copy_counts(blk, p.zero_based))
         ones_tally, copies_tally = ones_tally.items(), copies_tally.items()
     one_mean, one_se = rngutil.mean_and_se(ones_tally, max(1, r * r))

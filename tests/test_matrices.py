@@ -264,7 +264,9 @@ def counting(monkeypatch, name):
 
 def test_sampling_counts_each_block_once_by_row_masks_up_to_8_columns(monkeypatch):
     # Three blocks, the last partial: r <= 8 makes one mask-kernel call
-    # per block and never sweeps chains; r = 9 never reads row masks.
+    # per block and never sweeps chains; r = 9 never reads row masks,
+    # and hands the chain sweep blocks already in its (cols, rows, B)
+    # layout, so the sweep copies none of them.
     masked = counting(monkeypatch, "mask_copy_counts")
     chained = counting(monkeypatch, "matrix_copy_counts")
     m = random_matrix(random.Random(99), 10, 12)
@@ -278,3 +280,5 @@ def test_sampling_counts_each_block_once_by_row_masks_up_to_8_columns(monkeypatc
     masked.clear()
     sampling_estimates(m, (1, 3, 2), 9, trials, 9)
     assert masked == [] and len(chained) == 3
+    for blk, _ in chained:
+        assert blk.transpose(2, 1, 0).flags.c_contiguous
