@@ -450,7 +450,7 @@ class SnaBudgetReport:
 
 def verify_sna_budget(n: int, a: int, pi: PermLike) -> SnaBudgetReport:
     """Stream every family member, in blocks of ``member_blocks``, and
-    measure its copy count of pi with ``kernels.occurrence_counts``.
+    measure its copy count of pi with ``kernels.row_occurrence_counts``.
 
     Requires pi(1) > pi(k): a pattern starting below its end could
     straddle two runs, and the budget argument breaks.  For the other
@@ -473,7 +473,7 @@ def verify_sna_budget(n: int, a: int, pi: PermLike) -> SnaBudgetReport:
     max_observed = 0
     checked = 0
     for blk in family.member_blocks():
-        max_observed = max(max_observed, *kernels.occurrence_counts(blk, pi0))
+        max_observed = max(max_observed, int(kernels.row_occurrence_counts(blk, pi0).max()))
         checked += len(blk)
     if checked != family.size:
         raise RuntimeError(

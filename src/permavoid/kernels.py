@@ -5,17 +5,20 @@ The full S_n passes (``copy_count_histogram``, ``count_avoiders``,
 permutations: a fixed (n - t)-value prefix above the lex table of the
 t values it leaves.  No block is built: each test sigma[x] < sigma[y]
 is a row of ``_atlas(t)``, a cached bit-packed table over the t! tail
-orders, and ``_carried_words`` ANDs k - 1 rows per index set.  The
-blocks come in runs of consecutive prefixes, as many as fit ``_RUN``
-bytes of words, and each numpy pass takes a whole run.  Their uint8
-atlas-row lookups come in batches of whole runs, as many as fit
-``_RUN`` bytes with their tests, so one batch serves many runs.  The
-histogram sums those bits per permutation.  Both avoider kernels read
+orders, and ``_carried_words`` ANDs k - 1 rows per index set.  A block
+holds one prefix's words, a row per index set; a run holds as many
+consecutive blocks as fit ``_RUN`` bytes, the passes' one memory
+budget, and is one gather and k - 2 ANDs whose temporaries are at most
+its words.  Their uint8 lookups come in batches of whole runs that fit
+``_RUN`` bytes with their tests.  The histogram unpacks a block at a
+time: 5,040 bytes per index set at t = 7, 4.7 MB for C(12, 6) sets at
+the default enumeration cap.  Both avoider kernels read
 ``_hit_masks``, which ORs a block of hypergraphs' edges into masks of
 the permutations each hits: sets that are an edge of every hypergraph
 are ORed once per run with no mask, sets of none are never tested, and
-only the rest are masked per hypergraph.  A hypergraph's avoiders
-number n! less the set bits of its masks (``np.bitwise_count``).
+only the rest are masked per hypergraph, in chunks that fit ``_RUN``.
+A hypergraph's avoiders number n! less the set bits of its masks
+(``np.bitwise_count``).
 
 The block kernels ``row_occurrence_counts`` (with its histogram,
 ``occurrence_counts``) and ``matrix_copy_counts`` count a whole (B, n)
@@ -38,7 +41,7 @@ looks each sample's count up in the table they make (n! entries,
 transposed views of position-major arrays, so ``row_occurrence_counts``
 reads the positions of a permutation block without a copy.
 ``min-copies`` hands ``matrix_copy_counts`` its supports and ``sna``
-hands ``occurrence_counts`` its family members, a block at a time.
+hands ``row_occurrence_counts`` its family members, a block at a time.
 ``unpack_rows`` turns packed rows into the uint8 entries they take.
 
 Copies of a pattern in 0-1 matrices are counted three ways, split by
@@ -265,9 +268,9 @@ def _block_lookups(n: int, batch: int):
         yield v, rows.reshape(len(held), n * n)
 
 
-_CHUNK = 1 << 16  # bytes gathered, ORed or unpacked per chunk
-# Bytes of carried words per run of blocks, counting 8 more per lookup
-# entry, and bytes of uint8 lookups and tests per batch of whole runs.
+# The S_n passes' one memory budget: bytes of carried words per run of
+# blocks, counting 8 more per lookup entry, of uint8 lookups and tests per
+# batch of whole runs, and of masked words per chunk in ``_hit_masks``.
 _RUN = 96 << 10
 
 
@@ -282,12 +285,13 @@ def _carried_words(n: int, pi: tuple[int, ...], index_sets):
     k - 1 atlas rows.  For k < 2 every row is atlas row 1.  A block's
     words take 632 bytes per index set at t = 7, 53 KB for all C(9, 3)
     sets; a run holds as many blocks as fit their words, plus 8 bytes
-    per entry of their lookups, in ``_RUN`` bytes, at least one, and its
-    rows are gathered in chunks of about ``_CHUNK`` bytes across its
-    blocks.  The lookups come from ``_block_lookups`` in batches of whole
-    runs, at least one, whose uint8 lookups and atlas-row tests fit
-    ``_RUN`` bytes: all 72 blocks of S_9 in one batch for C(9, 3) sets.
-    Each run slices its tests from its batch's.
+    per entry of their lookups, in ``_RUN`` bytes, at least one.  A run
+    is one gather of every set's first atlas row into its words and
+    k - 2 ANDs, so a pass's temporaries are at most one run's words.
+    The lookups come from ``_block_lookups`` in batches of whole runs,
+    at least one, whose uint8 lookups and atlas-row tests fit ``_RUN``
+    bytes: all 72 blocks of S_9 in one batch for C(9, 3) sets.  Each run
+    slices its tests from its batch's.
     """
     k = len(pi)
     atlas = _atlas(min(n, 7))
@@ -300,29 +304,27 @@ def _carried_words(n: int, pi: tuple[int, ...], index_sets):
     words = np.empty((batch, len(pairs), atlas.shape[1]), np.uint64)
     words[:] = atlas[1]  # the rows for k < 2; larger k overwrite them
     flat = words.reshape(-1, atlas.shape[1])
-    step = max(1, _CHUNK // atlas[0].nbytes)
     for held, lookup in _block_lookups(n, runs * batch):
         batch_tests = lookup.take(pairs, axis=1)  # (blocks, E, k - 1) atlas rows
         for r in range(0, len(held), batch):
             prefixes = held[r:r + batch]
             tests = batch_tests[r:r + batch].reshape(len(prefixes) * len(pairs), pairs.shape[1])
-            for s in range(0, len(tests) if k > 1 else 0, step):
-                part = tests[s:s + step]
-                carried = flat[s:s + len(part)]
+            if k > 1:
+                carried = flat[:len(tests)]
                 # every index is valid; mode "raise" would copy through a buffer
-                np.take(atlas, part[:, 0], axis=0, out=carried, mode="clip")
+                np.take(atlas, tests[:, 0], axis=0, out=carried, mode="clip")
                 for j in range(1, k - 1):
-                    carried &= atlas[part[:, j]]
+                    carried &= atlas[tests[:, j]]
             yield prefixes, words[:len(prefixes)]
 
 
 def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     """Histogram {c: #sigma in S_n with exactly c occurrences of pi}.
 
-    Per run of blocks, the carried words of all C(n,k) index sets are
-    unpacked and summed per permutation of each block, in chunks of
-    blocks (or, when one block's sets pass a chunk, of index sets) that
-    unpack to about ``_CHUNK`` bytes.
+    Per block of each run, the carried words of all C(n,k) index sets
+    are unpacked at once, summed per permutation and tallied by count.
+    The unpack takes 5,040 bytes per index set at t = 7: 141 KB for
+    C(8, 2) sets, about 4.7 MB for C(12, 6).
 
     >>> copy_count_histogram(3, (0, 1))
     {0: 1, 1: 2, 2: 2, 3: 1}
@@ -333,15 +335,9 @@ def copy_count_histogram(n: int, pi: tuple[int, ...]) -> dict[int, int]:
     # int64 holds every tally: n! < 2^63 for n <= 20, far past any pass that ends
     total = np.zeros(len(sets) + 1, np.int64)
     for _, words in _carried_words(n, pi, sets):
-        step = max(1, _CHUNK // (64 * words.shape[2]))  # a word unpacks to 64 bytes
-        block_step = max(1, step // max(1, len(sets)))  # 1 when a block's sets pass step
-        count = np.zeros((len(words), size), dtype)
-        for b in range(0, len(words), block_step):
-            for s in range(0, len(sets), step):
-                bits = np.unpackbits(words[b:b + block_step, s:s + step].view(np.uint8),
-                                     axis=2, count=size, bitorder="little")
-                count[b:b + block_step] += bits.sum(axis=1, dtype=dtype)
-        total += np.bincount(count.ravel(), minlength=len(total))
+        for block in words:
+            bits = np.unpackbits(block.view(np.uint8), axis=1, count=size, bitorder="little")
+            total += np.bincount(bits.sum(axis=0, dtype=dtype), minlength=len(total))
     return {c: m for c, m in enumerate(total.tolist()) if m}
 
 
@@ -352,8 +348,9 @@ def _hit_masks(n: int, pi: tuple[int, ...], candidates, lam_block: np.ndarray):
     chunk covers and an (S, P, W) uint64 array: row [s, i] marks, packed
     like the carried words, the permutations of the run's i-th block
     that carry pi on an edge of the s-th hypergraph.  Sets of only some
-    rows are masked in chunks of about ``_CHUNK`` bytes over whole runs;
-    with none, one row serves every row through the slice's broadcast.
+    rows are masked over whole runs, in chunks of as many rows as fit
+    ``_RUN`` bytes of the run's masked words, at least one; with none,
+    one row serves every row through the slice's broadcast.
     """
     used = lam_block.any(axis=0)
     shared = used & lam_block.all(axis=0)  # all() holds for every set of an empty block
@@ -366,7 +363,7 @@ def _hit_masks(n: int, pi: tuple[int, ...], candidates, lam_block: np.ndarray):
             yield prefixes, slice(0, len(lam_block)), hit[None]
             continue
         masked = words[None, :, :len(partial)]
-        step = max(1, _CHUNK // masked.nbytes)
+        step = max(1, _RUN // masked.nbytes)
         for s in range(0, len(select), step):
             hits = np.bitwise_or.reduce(select[s:s + step, None, :, None] & masked, axis=2)
             hits |= hit

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -398,32 +399,54 @@ def test_carried_words_mark_each_index_sets_carriers(n):
             np.testing.assert_array_equal(bits[:, :size], want[:, b * size:(b + 1) * size])
 
 
-def test_count_avoiders_crosses_edge_chunks(monkeypatch):
+def test_count_avoiders_crosses_runs_of_blocks(monkeypatch):
     rng = random.Random(1212)
     cases = []
     for pi in [(0, 2, 1), (1, 3, 0, 2)]:
         complete = tuple(combinations(range(8), len(pi)))
         cases += [(pi, None), (pi, tuple(sorted(rng.sample(complete, 21)))), (pi, complete[:1])]
     want = [kernels.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases]
-    # 1300 bytes hold two 632-byte atlas rows at t = 7, so with 21 edges
-    # a chunk straddles two blocks of a run; 1 byte holds one edge per chunk.
-    for chunk in [1300, 1]:
-        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    # At t = 7 an index set's words take 632 bytes and a block's lookup
+    # 512 more.  A _RUN of 1 byte gives runs of one block.  41,352 bytes
+    # hold three blocks of the 21 edges, so one gather spans the blocks
+    # of runs of 3, 3 and 2, and all 8 blocks of one edge; 134,256 bytes
+    # hold runs of 3, 3 and 2 blocks of a complete hypergraph's 56 or 70
+    # sets.
+    for run in [1, 41352, 134256]:
+        monkeypatch.setattr(kernels, "_RUN", run)
         assert [kernels.count_avoiders(8, pi, edges, collect=True) for pi, edges in cases] == want
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_copy_count_histogram_crosses_set_chunks(monkeypatch, n):
+def test_copy_count_histogram_crosses_runs_of_blocks(monkeypatch, n):
     patterns = [(1, 0), (0, 2, 1), (2, 0, 1), (1, 3, 0, 2)]
     want = [kernels.copy_count_histogram(n, pi) for pi in patterns]
-    # At t = 7 a set's words take 632 bytes and unpack to 5056: 25280
-    # bytes gather 40 sets and unpack 5, so the C(8,3) = 56 index sets of
-    # a block end in an unpack chunk of 1, C(9,3) = 84 in 4s.  424704
-    # bytes unpack 84 sets: whole blocks of a run, three of C(8,2) = 28
-    # sets or two of C(9,2) = 36 at a time.
-    for chunk in [25280, 1, 424704]:
-        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    # At t = 7 a set's words take 632 bytes and a block's lookup 8n^2
+    # more: 18,208 bytes for C(8, 2) sets.  At 25,280 and at 1 byte every
+    # run is one block.  424,704 bytes hold all 8 blocks of S_8 in one
+    # run for every pattern, and S_9 in runs of 18 blocks of C(9, 2)
+    # sets, of 7 of C(9, 3) ending in 2, and of 5 of C(9, 4) ending in 2.
+    for run in [25280, 1, 424704]:
+        monkeypatch.setattr(kernels, "_RUN", run)
         assert [kernels.copy_count_histogram(n, pi) for pi in patterns] == want
+
+
+def test_copy_count_histogram_unpacks_one_block_at_a_time():
+    # At n = 8 the pass runs in runs of five blocks of C(8, 2) = 28 sets'
+    # words.  A block unpacks to 28 x 5040 bytes; unpacking a whole run
+    # would peak near 1.2 MB.
+    n, pi = 8, (1, 0)
+    sets = list(combinations(range(n), len(pi)))
+    assert [len(words) for _, words in kernels._carried_words(n, pi, sets)] == [5, 3]
+    want = oracles.inversion_histogram(n)
+    assert kernels.copy_count_histogram(n, pi) == want  # builds the cached atlas untraced
+    tracemalloc.start()
+    try:
+        assert kernels.copy_count_histogram(n, pi) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(sets) * 5040 + 2 * kernels._RUN
 
 
 def run_of_five(n, sets):
@@ -606,15 +629,14 @@ def test_avoider_counts_match_one_pass_per_hypergraph():
 
 @pytest.mark.parametrize("size", [3, 10])
 def test_avoider_counts_cross_the_plane_chunks(monkeypatch, size):
-    # At n = 5, S_5 is one lex block and an index set's words take 16
-    # bytes.  At 40 bytes ``_carried_words`` gathers the sets two at a
-    # time and ``_hit_masks`` masks the samples one by one.  At 1000
-    # bytes every set is gathered at once; no set is an edge of every
-    # row or of none, so all are masked, and 10 samples over 10 sets
-    # (k = 2 or 3) split as 6 + 4.
+    # At n = 5, S_5 is one lex block, so every run is that block and
+    # only ``_hit_masks`` splits.  An index set's words take 16 bytes; no
+    # set is an edge of every row or of none, so all are masked.  At 40
+    # bytes the samples are masked one by one; at 1000 bytes 10 samples
+    # over 10 sets (k = 2 or 3) split as 6 + 4.
     rng = np.random.default_rng(1111 + size)
-    for chunk in [40, 1000]:
-        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    for run in [40, 1000]:
+        monkeypatch.setattr(kernels, "_RUN", run)
         for pi in [(1, 0), (0, 2, 1), (1, 3, 0, 2)]:
             assert_avoider_counts(5, pi, random_lambdas(rng, size, math.comb(5, len(pi))))
 
