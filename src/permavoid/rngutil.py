@@ -27,40 +27,55 @@ the stream is the per-sample one:
     numerator.
 
 With array bounds numpy bounds one element per pass of a broadcast
-loop, which costs about ten times the raw words a block spends, so the
-shuffles' draws replay that call from raw PCG64 words (``_bounded``).
-numpy's bounding step is Lemire's multiply-and-shift on a 32-bit half
-("Fast random integer generation in an interval", 2019), which
-whole-array ops reproduce as long as no draw would be redrawn.  When
-one would, when a half is left buffered, when the count of draws is
-odd, when a span is 1, or on a big-endian host, numpy draws the block
-itself.  The shuffles then run in (n, B) position-major arrays, one row
-per slot, so each Fisher-Yates step moves whole rows.
+loop, which costs about ten times the raw words a block spends, so each
+call that shuffles takes its draws from one draw stream (``_draws``)
+that replays that call from raw PCG64 words.  numpy's bounding step is
+Lemire's multiply-and-shift on a 32-bit half ("Fast random integer
+generation in an interval", 2019): a half u and a span s give the draw
+(u * s) >> 32, redrawn when the low 32 bits of u * s fall below
+2^32 mod s.  A stream tiles the spans and those floors to a block once
+(``_tiles``); each block is then one ``random_raw``, one flat multiply
+and one floor check.  The words split into halves through a
+little-endian view (``_halves``), low half first as numpy takes them,
+so the split is the same on a host of either byte order.
+
+A stream reads the generator's state once, when it starts, and writes
+it at most once, when it ends.  ``random_raw`` leaves numpy's last
+drawn half where numpy would have overwritten it, and that stale half
+is part of the state, so the end of the stream writes the one numpy
+would have left.  numpy draws a block itself when a half is buffered,
+when the count of draws is odd, when a span is 1 or past 2^32, or when
+a draw would be redrawn: the stream then rewinds the block's words with
+``bit_generator.advance`` and calls ``integers``.  Between two blocks
+the generator belongs to the stream; a draw made from it there would
+leave the stream out of step.  The shuffles run in (n, B)
+position-major arrays, one row per slot, so each Fisher-Yates step
+moves whole rows.
 
 One stream of shuffle draws can be consumed two ways, from the same
 blocks: as permutations (``permutation_blocks``), or as one int64 code
-per sample (``permutation_codes``), the mixed-radix number of its n - 1
-draws, in [0, n!).  ``code_permutations`` turns codes back into the
-permutations ``permutation_blocks`` would have yielded.  The sigma
-estimator takes codes for n <= 8, where a table of all n! codes is at
-most 40,320 entries.
+per sample (``permutation_codes``, n <= 20), the mixed-radix number of
+its n - 1 draws, in [0, n!), taken straight from the stream's draws.
+``code_permutations`` turns codes back into the permutations
+``permutation_blocks`` would have yielded.  The sigma estimator takes
+codes for n <= 8, where a table of all n! codes is at most 40,320
+entries.
 
-tests/test_rngutil.py pins all three against per-sample loops,
-``_bounded`` against ``integers`` itself, and the decoded codes against
-``permutation_blocks``.
+tests/test_rngutil.py pins all three against per-sample loops, the
+stream (through its one-block form ``_bounded``) against ``integers``
+itself, and the decoded codes against ``permutation_blocks``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 BLOCK = 2048  # samples per RNG call and per block-kernel call
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -107,71 +122,123 @@ def _block_sizes(total: int, width: int):
         yield min(step, total - start)
 
 
+# Tiles of at most this many draws, 768 KB, are cached; a stream whose
+# blocks hold more builds its own.  Blocks of subset pairs hold more only
+# past r = 32,768, and blocks of shuffles only past n = 33.
+_CACHED_DRAWS = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _tiles(spans: tuple[int, ...], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spans of ``size`` samples' draws in stream order (uint64),
+    and the floors 2^32 mod span below which numpy redraws (uint32).
+    Read-only, since the cache shares them: it holds at most 8 entries
+    of ``_CACHED_DRAWS`` draws, 12 bytes each, so at most 6 MB."""
+    spans = np.array(spans, np.uint64)
+    tiles = np.tile(spans, size), np.tile((2**32 % spans).astype(np.uint32), size)
+    for tile in tiles:
+        tile.flags.writeable = False
+    return tiles
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of uint64 ``words``, low half first, as numpy
+    spends them: a free view on a little-endian host, a byte-swapping
+    copy on a big-endian one."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _draws(rng: np.random.Generator, spans: np.ndarray, sizes: Iterable[int],
+           by_step: bool = False):
+    """Yield, for each size in ``sizes`` (which never grow), the values
+    of ``rng.integers(0, spans, size=(size, len(spans)))`` as an int64
+    block, C-contiguous, or transposed to one row per step when
+    ``by_step``; and leave the generator in numpy's state once the
+    stream is exhausted or closed.
+
+    With no half buffered, an even count of draws and every span in
+    [2, 2^32), a block is the halves u of ``random_raw`` words scaled by
+    the tiled spans, (u * span) >> 32, unless the low 32 bits of some
+    u * span fall below its floor: numpy would have redrawn there, so
+    the words are rewound and numpy draws the block.  Rewinding with
+    ``advance`` also clears the buffered half, which is safe since no
+    half was buffered.  numpy draws every other block too, and the
+    state is read after each such block, which may leave a half
+    buffered.  No other draw may be made from ``rng`` until the stream
+    ends.
+    """
+    bitgen = rng.bit_generator
+    width = len(spans)
+    raw = width > 0 and spans.min() >= 2 and spans.max() < 2**32
+    buffered = bitgen.state["has_uint32"]
+    tiles = stale = None
+    try:
+        for size in sizes:
+            count = size * width
+            if raw and count and count % 2 == 0 and not buffered:
+                if tiles is None:  # the first block is the largest
+                    build = _tiles if count <= _CACHED_DRAWS else _tiles.__wrapped__
+                    tiles = build(tuple(spans.tolist()), size)
+                words = bitgen.random_raw(count // 2)
+                m = _halves(words) * tiles[0][:count]
+                if not (m.astype(np.uint32) < tiles[1][:count]).any():
+                    stale = int(words[-1] >> 32)
+                    m = m.reshape(size, width)
+                    if by_step:
+                        m = np.right_shift(m.T, 32, order="C")
+                    else:
+                        m >>= 32
+                    yield m.view(np.int64)
+                    continue
+                bitgen.advance(-len(words))
+            stale = None
+            draws = rng.integers(0, spans, size=(size, width))
+            buffered = bitgen.state["has_uint32"]
+            yield np.ascontiguousarray(draws.T) if by_step else draws
+    finally:
+        if stale is not None:  # the last block was raw words
+            state = bitgen.state
+            state["uinteger"] = stale
+            bitgen.state = state
+
+
 def _bounded(rng: np.random.Generator, lows: np.ndarray, highs: np.ndarray,
              size: int) -> np.ndarray:
     """``rng.integers(lows, highs, size=(size, len(lows)))``: the same
-    int64 values, and the generator left in the same state.
-
-    numpy bounds each element by Lemire's method on the next 32-bit half
-    of the stream: m = u * span, the value low + (m >> 32), and a redraw
-    when the low 32 bits of m fall below 2^32 mod span.  With no half
-    buffered, an even count of draws and every span in [2, 2^32), this
-    spends ``random_raw`` words low half first, as numpy does, in
-    whole-array ops over a (steps, size) layout, and sets the buffered
-    half numpy would have left behind.  If any draw would have been
-    redrawn, the state is restored and numpy draws the block; in every
-    other case, and on a big-endian host, numpy draws it to begin with.
-    """
-    spans = highs - lows
-    count = size * len(spans)
-    bitgen = rng.bit_generator
-    if (count and count % 2 == 0 and _LITTLE_ENDIAN
-            and spans.min() >= 2 and spans.max() < 2**32):
-        state = bitgen.state
-        if not state["has_uint32"]:
-            words = bitgen.random_raw(count // 2)
-            halves = words.view(np.uint32).reshape(size, len(spans)).T
-            m = np.multiply(halves, spans.astype(np.uint64)[:, None], order="C")
-            floors = (2**32 % spans).astype(np.uint32)[:, None]
-            if not (m.astype(np.uint32) < floors).any():
-                after = bitgen.state
-                after["uinteger"] = int(words[-1] >> 32)
-                bitgen.state = after
-                m >>= 32
-                values = m.view(np.int64)
-                values += lows[:, None]
-                return values.T
-            bitgen.state = state
-    return rng.integers(lows, highs, size=(size, len(spans)))
+    int64 values, and the generator left in the same state, as a
+    one-block ``_draws`` stream offset by ``lows``."""
+    (draws,) = _draws(rng, highs - lows, [size])
+    return draws + lows
 
 
-def _shuffled(size: int, n: int, draws: np.ndarray) -> np.ndarray:
-    """``size`` copies of range(n) after the Fisher-Yates swaps of slot
-    i with slot draws[:, i], for i = 0, 1, ... in turn, as an (n, size)
+def _shuffled(n: int, draws: np.ndarray) -> np.ndarray:
+    """Copies of range(n), one per column of the (steps, B) ``draws``,
+    each after the Fisher-Yates swaps of slot i with slot
+    i + draws[i, s], for i = 0, 1, ... in turn, as an (n, B)
     position-major array: column s is copy s.
 
     Step i copies row i and swaps it, through flat indices
-    draws[:, i] * size + s, with the rows the draws name, so every step
-    reads and writes whole rows.
+    (i + draws[i, s]) * B + s, with the rows the draws name, so every
+    step reads and writes whole rows.
     """
+    size = draws.shape[1]
     pos = np.repeat(np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0))), size)
-    slots = draws.T * size + np.arange(size)
-    for i in range(draws.shape[1]):
+    slots = draws * size
+    slots += np.arange(slots.size).reshape(slots.shape)
+    for i in range(len(slots)):
         held = pos[i * size:(i + 1) * size].copy()
         pos[i * size:(i + 1) * size] = pos[slots[i]]
         pos[slots[i]] = held
     return pos.reshape(n, size)
 
 
-def _fisher_yates_draws(rng: np.random.Generator, n: int, samples: int):
-    """Yield the draws of ``samples`` full Fisher-Yates shuffles of
-    range(n), ``integers(i, n)`` at step i, as (B, n - 1) int64 blocks:
-    the one stream that both ``permutation_blocks`` and
-    ``permutation_codes`` consume."""
-    steps = np.arange(max(n - 1, 0))
-    highs = np.full_like(steps, n)
-    for size in _block_sizes(samples, n):
-        yield _bounded(rng, steps, highs, size)
+def _fisher_yates_draws(rng: np.random.Generator, n: int, samples: int,
+                        by_step: bool = False):
+    """The draw stream of ``samples`` full Fisher-Yates shuffles of
+    range(n), step i drawing ``integers(i, n)`` less i, as (B, n - 1)
+    int64 blocks, or (n - 1, B) ones ``by_step``: the one stream that
+    both ``permutation_blocks`` and ``permutation_codes`` consume."""
+    return _draws(rng, np.arange(n, 1, -1), _block_sizes(samples, n), by_step)
 
 
 def permutation_blocks(rng: np.random.Generator, n: int, samples: int):
@@ -179,43 +246,43 @@ def permutation_blocks(rng: np.random.Generator, n: int, samples: int):
     (B, n) blocks, one permutation per row (uint8 for n <= 256).  Each
     block is the transposed view of a position-major array, so
     ``blk.T`` is C-contiguous."""
-    for draws in _fisher_yates_draws(rng, n, samples):
-        yield _shuffled(len(draws), n, draws).T
+    for draws in _fisher_yates_draws(rng, n, samples, by_step=True):
+        yield _shuffled(n, draws).T
 
 
 def _code_places(n: int) -> np.ndarray:
-    """Place values (n - 1 - i)! of the shuffle codes' digits, as int64:
-    past n = 20 a code would not fit, and past n = 21 neither would
-    its places (OverflowError)."""
+    """Place values (n - 1 - i)! of the shuffle codes' digits, as int64,
+    refused past n = 20, where a code would not fit."""
+    if n > 20:
+        raise ValueError(f"shuffle codes fit int64 only for n <= 20, got n = {n}")
     return np.array([math.factorial(n - 1 - i) for i in range(max(n - 1, 0))], np.int64)
 
 
 def permutation_codes(rng: np.random.Generator, n: int, samples: int):
     """Yield the shuffles of :func:`permutation_blocks`, drawn from the
-    same blocks of the same stream, as int64 codes in [0, n!), n <= 20.
+    same blocks of the same stream, as int64 codes in [0, n!), n <= 20
+    (a larger n is refused before any draw).
 
     Step i of a shuffle draws d_i in [i, n), and its code is the
     mixed-radix number sum_i (d_i - i) (n - 1 - i)!: a bijection of
     the draws onto [0, n!), which :func:`code_permutations` inverts.
+    The stream's draws are the digits d_i - i themselves.
     """
     places = _code_places(n)
-    offset = int(np.arange(len(places)) @ places)
     for draws in _fisher_yates_draws(rng, n, samples):
-        codes = draws @ places
-        codes -= offset
-        yield codes
+        yield draws @ places
 
 
 def code_permutations(n: int, codes: np.ndarray) -> np.ndarray:
     """The permutations of range(n) that ``permutation_codes`` yields as
     ``codes``, as the (B, n) block ``permutation_blocks`` yields for
-    the same draws."""
+    the same draws; n <= 20."""
+    places = _code_places(n)
     rest = np.asarray(codes, np.int64)
-    draws = np.empty((max(n - 1, 0), len(rest)), np.int64)  # one row per step
-    for i, place in enumerate(_code_places(n).tolist()):
-        draws[i], rest = np.divmod(rest, place)
-        draws[i] += i
-    return _shuffled(len(rest), n, draws.T).T
+    digits = np.empty((len(places), len(rest)), np.int64)  # one row per step
+    for i, place in enumerate(places.tolist()):
+        digits[i], rest = np.divmod(rest, place)
+    return _shuffled(n, digits).T
 
 
 def subset_pair_blocks(
@@ -230,12 +297,11 @@ def subset_pair_blocks(
     and B x cols and the submatrices its pairs induce B x r x r, so all
     three bound its size.
     """
-    lows = np.tile(np.arange(r), 2)
-    highs = np.repeat([rows, cols], r)
-    for size in _block_sizes(trials, max(rows, cols, r * r)):
-        draws = _bounded(rng, lows, highs, size)
+    spans = np.concatenate([np.arange(rows, rows - r, -1), np.arange(cols, cols - r, -1)])
+    sizes = _block_sizes(trials, max(rows, cols, r * r))
+    for draws in _draws(rng, spans, sizes, by_step=True):
         yield tuple(
-            _sorted_rows(_shuffled(size, n, draws[:, h * r:(h + 1) * r])[:r]).T
+            _sorted_rows(_shuffled(n, draws[h * r:(h + 1) * r])[:r]).T
             for h, n in enumerate((rows, cols))
         )
 

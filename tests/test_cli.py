@@ -743,10 +743,10 @@ GOLDEN_DIGESTS = [
     (["expect-mc", "--estimator", "sigma", "--n", "20", "--pi", "1,3,2",
       "--alpha", "1/3", "--samples", "3000", "--seed", "9"],
      "d42bf1eed041c1c612b7b72f712503fe0ec430de191d55d626d28859e639b76e"),
-    # Blocks numpy draws itself, not rngutil._bounded: the last block of
-    # 3 samples of S_8 makes 21 draws, an odd count.  With r the matrix's
-    # side the last step of each subset draws from a span of 1, and every
-    # sample is the whole matrix.
+    # Blocks numpy draws itself, not the raw-word draw stream: the last
+    # block of 3 samples of S_8 makes 21 draws, an odd count.  With r the
+    # matrix's side the last step of each subset draws from a span of 1,
+    # and every sample is the whole matrix.
     (["expect-mc", "--estimator", "sigma", "--n", "8", "--pi", "1,3,2",
       "--alpha", "1/3", "--samples", "2051", "--seed", "3"],
      "d1b1229c016c96368377b0a6ef02b7a78f3ffa0ddcc7fe35666c94b616e52ac3"),

@@ -2,10 +2,12 @@
 stream of the per-sample draws they replaced: the scalar loops below.
 If numpy ever changes how ``Generator.integers`` handles array bounds
 or buffers PCG64's 32-bit halves, these tests fail before any seeded
-output silently changes.  ``_bounded``, which replays numpy's bounding
-step from raw PCG64 words, must equal ``integers`` itself on every
-branch, values and generator state alike, and must keep the blocks the
-Monte-Carlo jobs draw on its raw-word path.  ``mean_and_se`` must
+output silently changes.  The draw stream ``_draws``, which replays
+numpy's bounding step from raw PCG64 words, must equal ``integers``
+itself on every branch (``_bounded`` is its one-block form), values and
+generator state alike, must keep the blocks the Monte-Carlo jobs draw
+on its raw-word path, and must touch the generator's state only when it
+starts and when it ends, or is closed.  ``mean_and_se`` must
 likewise equal the per-pair ``Fraction`` loop it replaced,
 ``oracles.mean_and_se_naive``.
 """
@@ -57,7 +59,7 @@ def assert_same_state(*generators):
 class CountingGenerator:
     """A PCG64 generator that counts its ``integers`` calls: under
     ``permutation_blocks`` and ``subset_pair_blocks`` each is a block
-    numpy drew instead of ``_bounded``'s raw words."""
+    numpy drew instead of the draw stream's raw words."""
 
     def __init__(self, seed):
         self.rng = rngutil.generator(seed)
@@ -112,6 +114,127 @@ def test_monte_carlo_blocks_draw_from_raw_words(seed):
     rng = CountingGenerator(seed)
     next(rngutil.subset_pair_blocks(rng, 8, 8, 8, 60))
     assert rng.numpy_blocks == 1
+
+
+class CountingBitGenerator:
+    """A bit generator that counts the reads and writes of its ``state``
+    and passes ``random_raw`` and ``advance`` through."""
+
+    def __init__(self, bitgen):
+        self.bitgen = bitgen
+        self.reads = self.writes = 0
+
+    @property
+    def state(self):
+        self.reads += 1
+        return self.bitgen.state
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        self.bitgen.state = value
+
+    def __getattr__(self, name):
+        return getattr(self.bitgen, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streams_touch_the_state_once_at_each_end(seed):
+    # Ten blocks of S_8 codes, as expect-mc --estimator sigma --n 8 draws
+    # them, then the three blocks of sample-density --r 6 on a 16 x 16
+    # matrix: each stream reads the state when it starts and writes it
+    # when it ends, however many blocks it draws, and numpy draws none.
+    rng, want = CountingGenerator(seed), rngutil.generator(seed)
+    rng.bit_generator = bitgen = CountingBitGenerator(rng.bit_generator)
+    assert sum(map(len, rngutil.permutation_codes(rng, 8, 10 * rngutil.BLOCK))) == 20480
+    assert (bitgen.reads, bitgen.writes) == (2, 1)
+    assert [len(rows) for rows, _ in rngutil.subset_pair_blocks(rng, 16, 16, 6, 6000)] == \
+        [rngutil.BLOCK, rngutil.BLOCK, 6000 - 2 * rngutil.BLOCK]
+    assert (bitgen.reads, bitgen.writes) == (4, 2)
+    assert rng.numpy_blocks == 0
+    want.integers(np.arange(7), 8, size=(10 * rngutil.BLOCK, 7))
+    want.integers(np.tile(np.arange(6), 2), 16, size=(6000, 12))
+    assert_same_state(want, rng.rng)
+
+
+@pytest.mark.parametrize("seed, numpy_draws", [
+    (17, [0, 1, 1]),  # even redraws: the last block is raw words again
+    (0, [0, 1, 2]),  # odd: numpy leaves a half buffered, so it draws the last block too
+])
+@pytest.mark.parametrize("by_step", [False, True])
+def test_stream_hands_a_redrawn_middle_block_to_numpy(seed, numpy_draws, by_step):
+    # A span of about 0.95 * 2^32 redraws one draw in 20, so a block of
+    # 8 draws about one time in three.  At these seeds the first block
+    # of three is raw words and the middle one is redrawn, so the stream
+    # rewinds it and numpy draws it.
+    spans = np.array([4080218931, 4080218931])
+    rng, want = CountingGenerator(seed), rngutil.generator(seed)
+    numpy_blocks = []
+    for block in rngutil._draws(rng, spans, [4, 4, 4], by_step):
+        expected = want.integers(0, spans, size=(4, 2))
+        np.testing.assert_array_equal(block, expected.T if by_step else expected)
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+        numpy_blocks.append(rng.numpy_blocks)
+    assert numpy_blocks == numpy_draws
+    assert_same_state(want, rng.rng)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closed_streams_leave_numpy_state(seed):
+    rng, want = rngutil.generator(seed), rngutil.generator(seed)
+    codes = rngutil.permutation_codes(rng, 8, 10 * rngutil.BLOCK)
+    next(codes)
+    codes.close()
+    want.integers(np.arange(7), 8, size=(rngutil.BLOCK, 7))
+    assert_same_state(want, rng)
+    pairs = rngutil.subset_pair_blocks(rng, 16, 16, 6, 6000)
+    next(pairs)
+    pairs.close()
+    want.integers(np.tile(np.arange(6), 2), 16, size=(rngutil.BLOCK, 12))
+    assert_same_state(want, rng)
+
+
+def test_tiles_are_read_only_and_bounded():
+    rngutil._tiles.cache_clear()
+    list(rngutil.permutation_codes(rngutil.generator(1), 8, rngutil.BLOCK + 2))
+    spans, floors = rngutil._tiles((8, 7, 6, 5, 4, 3, 2), rngutil.BLOCK)
+    assert rngutil._tiles.cache_info().currsize == 1  # the last block took a prefix
+    assert spans.dtype == np.uint64 and floors.dtype == np.uint32
+    assert spans[:8].tolist() == [8, 7, 6, 5, 4, 3, 2, 8]
+    assert floors[:7].tolist() == [2**32 % s for s in range(8, 1, -1)]
+    assert not spans.flags.writeable and not floors.flags.writeable
+    # One sample of S_41 is cached, but a block of 2048 holds 2048 * 40
+    # draws, past the cached size, so its stream builds its own tiles.
+    next(rngutil.permutation_blocks(rngutil.generator(1), 41, 1))
+    next(rngutil.permutation_blocks(rngutil.generator(1), 41, rngutil.BLOCK))
+    assert rngutil._tiles.cache_info().currsize == 2
+    assert rngutil._tiles.cache_info().maxsize * rngutil._CACHED_DRAWS * 12 <= 6 * 2**20
+
+
+def test_halves_split_words_low_half_first_on_either_byte_order():
+    words = rngutil.generator(5).bit_generator.random_raw(9)
+    want = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+    for stored in (words, words.astype(">u8")):  # the second as a big-endian host holds them
+        halves = rngutil._halves(stored)
+        assert halves.dtype == np.dtype("<u4")
+        np.testing.assert_array_equal(halves, want)
+
+
+def test_shuffle_codes_refuse_n_past_20_before_drawing():
+    # 20! < 2^63 < 21!: n = 21 would wrap its codes, n = 22 its places.
+    rng = rngutil.generator(1)
+    for n in (21, 22):
+        with pytest.raises(ValueError, match="n <= 20"):
+            next(rngutil.permutation_codes(rng, n, 50))
+        with pytest.raises(ValueError, match="n <= 20"):
+            rngutil.code_permutations(n, np.arange(5))
+    assert_same_state(rngutil.generator(1), rng)
+    by_block, by_code = rngutil.generator(2), rngutil.generator(2)
+    (codes,) = rngutil.permutation_codes(by_code, 20, 50)
+    assert 0 <= codes.min() and codes.max() < math.factorial(20)
+    (blk,) = rngutil.permutation_blocks(by_block, 20, 50)
+    np.testing.assert_array_equal(rngutil.code_permutations(20, codes), blk)
+    assert_same_state(by_block, by_code)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 8])
